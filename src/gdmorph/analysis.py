@@ -40,7 +40,7 @@ class FrequencyList:
 
 
 def load_frequency_list(path, delimiter: str | None = None) -> FrequencyList:
-    """Load a delimited rank/lexeme/count list (UTF-8).
+    """Load a delimited rank/lexeme/count list (UTF-8, BOM or not).
 
     Accepts three-column rank,lexeme,count rows or two-column
     lexeme,count rows (ranks assigned by position).  The delimiter is
@@ -50,7 +50,7 @@ def load_frequency_list(path, delimiter: str | None = None) -> FrequencyList:
     """
     rows: list[tuple[int, str, int]] = []
     warnings: list[str] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for number, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n").strip()
             if not line or line.startswith("#"):

@@ -1,7 +1,7 @@
 """Command-line front end: gdmorph <command> over a vocabulary file.
 
 Exit codes: 0 success, 1 domain error (word not found, unsupported
-irregular), 2 I/O or syntax error.
+irregular, underivable form), 2 I/O or syntax error.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def cmd_inflect(cfg: CliConfig, args) -> int:
             continue
         try:
             variants = rules.inflect(entry, form, ruleset)
-        except rules.RuleError as exc:
+        except orthography.MorphologyError as exc:
             raise _Fail(1, str(exc))
         print(" ".join(variants) if variants else export.MISSING_CELL)
         printed = True

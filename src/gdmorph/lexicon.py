@@ -82,15 +82,18 @@ def build_all_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> AllFormsIndex:
     """
     index = AllFormsIndex(fold_policy=vocabulary.fold_policy)
     pos_forms: dict[str, set[str]] = {}
+    form_index = index.form_index
     for entry in vocabulary:
         index.entries_per_pos[entry.pos] = index.entries_per_pos.get(entry.pos, 0) + 1
         forms, failures = rules.derive_forms(entry, ruleset)
         for code, message in failures.items():
             index.failures.append((entry.lemma, code, message))
         for surface, codes in forms.items():
-            for code in sorted(codes):
-                index.form_index.setdefault(surface, set()).add((entry, code))
-            pos_forms.setdefault(entry.pos, set()).add(surface)
+            analyses = form_index.get(surface)
+            if analyses is None:
+                analyses = form_index[surface] = set()
+            analyses.update([(entry, code) for code in codes])
+        pos_forms.setdefault(entry.pos, set()).update(forms)
     for pos, forms in pos_forms.items():
         index.forms_per_pos[pos] = len(forms)
     if vocabulary.fold_policy != EXACT:

@@ -59,11 +59,16 @@ _WORD_CHARS = (
 _PROTHETIC_PREFIXES = ("t-", "n-", "h-")
 
 
-class NoVowelError(ValueError):
+class MorphologyError(ValueError):
+    """A form that cannot be derived: the base of orthography and rule
+    errors, so one except clause catches every derivation failure."""
+
+
+class NoVowelError(MorphologyError):
     """Raised when an operation needs a vowel and the word has none."""
 
 
-class NotSlenderizableError(ValueError):
+class NotSlenderizableError(MorphologyError):
     """Raised when a word's final vowel group has no defined slender form."""
 
 

@@ -19,15 +19,21 @@ Alternative surface forms for one target are separated by "|" between
 expressions.  Rules are tried in file order and the first rule that
 matches the entry and defines the requested form wins, so more specific
 rules belong first.
+
+A RuleSet is compiled, not re-matched for every form: the rules that
+match one selector key (part of speech, gender, IRREG, and the lemma
+when a LEMMA= rule names it) are resolved once into a form code ->
+derivations table, and every entry with that key reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from . import orthography, svf
-from .orthography import SuffixAlternation
+from .orthography import MorphologyError, SuffixAlternation
 from .svf import ADJ, NOUN, VERB, Entry
 
 NOUN_FORMS = ("NS", "NP", "GS", "GP", "DS", "DP", "VS", "VP")
@@ -77,7 +83,7 @@ _TRANSFORMS = {
 DEFAULT_RULES_RESOURCE = "rules.grl"
 
 
-class RuleError(Exception):
+class RuleError(MorphologyError):
     """Base class for rule parsing and evaluation errors."""
 
 
@@ -115,6 +121,15 @@ class Derivation:
     transforms: tuple[str, ...] = ()
 
 
+class Selection(NamedTuple):
+    """The compiled rules for one selector key: each form code mapped to
+    the derivations of the first matching rule that defines it, and
+    whether any rule matched at all."""
+
+    matched: bool
+    derivations: dict[str, tuple[Derivation, ...]]
+
+
 @dataclass(frozen=True)
 class Matcher:
     """Entry selector; every field that is set must match the entry."""
@@ -144,9 +159,48 @@ class Rule:
 
 @dataclass
 class RuleSet:
-    """Ordered rules; first match wins, so specific rules come first."""
+    """Ordered rules; first match wins, so specific rules come first.
+
+    The rules are read as fixed once the set is made.  An entry's
+    selector key is what a Matcher can test of it: part of speech,
+    gender, IRREG, and the lemma only when some LEMMA= rule names it.
+    Entries that share a key agree on every predicate, so the first one
+    looked up is matched against the rules for all of them.
+    """
 
     rules: list[Rule] = field(default_factory=list)
+    _named: frozenset[str] = field(init=False, repr=False, compare=False)
+    _table: dict[tuple, Selection] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self) -> None:
+        self._named = frozenset(
+            rule.matcher.lemma_is for rule in self.rules if rule.matcher.lemma_is
+        )
+
+    def select(self, entry: Entry) -> Selection:
+        """The compiled rules for the entry's selector key."""
+        lemma = entry.lemma if entry.lemma in self._named else None
+        key = (entry.pos, entry.gender, entry.irregular, lemma)
+        selection = self._table.get(key)
+        if selection is None:
+            selection = self._table[key] = _compile(self.rules, entry)
+        return selection
+
+
+def _compile(rules: list[Rule], entry: Entry) -> Selection:
+    # irregular entries inflect only through LEMMA= special cases
+    derivations: dict[str, tuple[Derivation, ...]] = {}
+    matched = False
+    for rule in rules:
+        if entry.irregular and rule.matcher.lemma_is is None:
+            continue
+        if rule.matcher.matches(entry):
+            matched = True
+            for code, alternatives in rule.derivations.items():
+                derivations.setdefault(code, alternatives)
+    return Selection(matched, derivations)
 
 
 def _strip_comment(line: str) -> str:
@@ -171,19 +225,29 @@ def _parse_matcher(text: str, number: int) -> Matcher:
                 raise RuleSyntaxError(f"line {number}: duplicate part of speech")
             pos = upper
         elif upper in svf.GENDERS:
+            if gender is not None:
+                raise RuleSyntaxError(f"line {number}: more than one gender")
             gender = upper
         elif upper == "IRREG":
             irregular = True
-        elif upper.startswith("LEMMA"):
-            _, _, value = pred.partition("=")
-            value = value.strip()
-            if not (len(value) >= 2 and value[0] == '"' and value[-1] == '"'):
+        elif upper.partition("=")[0].strip() == "LEMMA":
+            if lemma_is is not None:
+                raise RuleSyntaxError(f"line {number}: more than one LEMMA")
+            value = pred.partition("=")[2].strip()
+            if not (len(value) > 2 and value[0] == '"' and value[-1] == '"'):
                 raise RuleSyntaxError(f'line {number}: LEMMA needs a quoted word')
             lemma_is = orthography.canonical(value[1:-1])
         else:
             raise RuleSyntaxError(f"line {number}: unknown predicate {pred!r}")
     if pos is None:
         raise RuleSyntaxError(f"line {number}: rule needs NOUN, VERB or ADJ")
+    if gender is not None and pos != NOUN:
+        raise RuleSyntaxError(f"line {number}: only nouns have a gender, not {pos}")
+    if irregular and lemma_is is None:
+        raise RuleSyntaxError(
+            f'line {number}: IRREG needs LEMMA="word"; irregular entries '
+            "take only special-case rules"
+        )
     return Matcher(pos=pos, gender=gender, irregular=irregular, lemma_is=lemma_is)
 
 
@@ -246,7 +310,7 @@ def _parse_expression(text: str, target: str, pos: str, number: int) -> Derivati
 
 def parse_rules(text: str) -> RuleSet:
     """Parse a rule file; raises RuleSyntaxError with a line number."""
-    ruleset = RuleSet()
+    rules: list[Rule] = []
     current: Rule | None = None
     for number, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -254,7 +318,7 @@ def parse_rules(text: str) -> RuleSet:
             continue
         if line.startswith("*"):
             current = Rule(matcher=_parse_matcher(line[1:], number))
-            ruleset.rules.append(current)
+            rules.append(current)
             continue
         if current is None:
             raise RuleSyntaxError(f"line {number}: derivation before any * line")
@@ -282,11 +346,11 @@ def parse_rules(text: str) -> RuleSet:
                 for alt in _split_outside_quotes(expr_text, "|")
             )
             current.derivations[target] = alternatives
-    return ruleset
+    return RuleSet(rules)
 
 
 def load_rules(path) -> RuleSet:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_rules(handle.read())
 
 
@@ -327,14 +391,24 @@ def _apply_derivation(entry: Entry, derivation: Derivation) -> str | None:
     return base
 
 
-def _candidate_rules(entry: Entry, ruleset: RuleSet) -> list[Rule]:
-    if entry.irregular:
-        return [
-            rule
-            for rule in ruleset.rules
-            if rule.matcher.lemma_is is not None and rule.matcher.matches(entry)
-        ]
-    return [rule for rule in ruleset.rules if rule.matcher.matches(entry)]
+def _realize(entry: Entry, form: str, selection: Selection) -> list[str]:
+    alternatives = selection.derivations.get(form)
+    if alternatives is None:
+        if not entry.irregular:
+            raise NoRuleMatchesError(f"no rule defines {form} for {entry.lemma}")
+        if not selection.matched:
+            raise IrregularUnsupportedError(
+                f"{entry.lemma} is irregular and no special-case rule covers it"
+            )
+        raise IrregularUnsupportedError(
+            f"{entry.lemma} is irregular and no special-case rule defines {form}"
+        )
+    variants = []
+    for derivation in alternatives:
+        surface = _apply_derivation(entry, derivation)
+        if surface is not None and surface not in variants:
+            variants.append(surface)
+    return variants
 
 
 def inflect(entry: Entry, form: str, ruleset: RuleSet) -> list[str]:
@@ -345,25 +419,7 @@ def inflect(entry: Entry, form: str, ruleset: RuleSet) -> list[str]:
     """
     if form not in FORMS_BY_POS.get(entry.pos, ()):
         raise UnknownFormCodeError(f"{form} is not a {entry.pos} form")
-    candidates = _candidate_rules(entry, ruleset)
-    if entry.irregular and not candidates:
-        raise IrregularUnsupportedError(
-            f"{entry.lemma} is irregular and no special-case rule covers it"
-        )
-    for rule in candidates:
-        if form not in rule.derivations:
-            continue
-        variants = []
-        for derivation in rule.derivations[form]:
-            surface = _apply_derivation(entry, derivation)
-            if surface is not None and surface not in variants:
-                variants.append(surface)
-        return variants
-    if entry.irregular:
-        raise IrregularUnsupportedError(
-            f"{entry.lemma} is irregular and no special-case rule defines {form}"
-        )
-    raise NoRuleMatchesError(f"no rule defines {form} for {entry.lemma}")
+    return _realize(entry, form, ruleset.select(entry))
 
 
 @dataclass
@@ -376,12 +432,12 @@ class Paradigm:
 
 
 def _fill_paradigm(entry: Entry, ruleset: RuleSet, forms: tuple[str, ...]) -> Paradigm:
+    selection = ruleset.select(entry)
     paradigm = Paradigm(pos=entry.pos)
     for form in forms:
         try:
-            paradigm.cells[form] = inflect(entry, form, ruleset)
-        except (RuleError, orthography.NotSlenderizableError,
-                orthography.NoVowelError) as exc:
+            paradigm.cells[form] = _realize(entry, form, selection)
+        except MorphologyError as exc:
             paradigm.errors[form] = str(exc)
     return paradigm
 
@@ -397,7 +453,7 @@ def conjugate(entry: Entry, ruleset: RuleSet) -> Paradigm:
     """Every verb form cell; failures reported per cell."""
     if entry.pos != VERB:
         raise ValueError(f"conjugate needs a verb, got {entry.pos}")
-    if entry.irregular and not _candidate_rules(entry, ruleset):
+    if entry.irregular and not ruleset.select(entry).matched:
         raise IrregularUnsupportedError(
             f"{entry.lemma} is irregular and no special-case rule covers it"
         )
@@ -416,15 +472,9 @@ def derive_forms(
     with the codes of the form it varies, unless that spelling is
     already a form in its own right.
     """
+    paradigm = _fill_paradigm(entry, ruleset, FORMS_BY_POS.get(entry.pos, ()))
     forms: dict[str, set[str]] = {}
-    failures: dict[str, str] = {}
-    for code in FORMS_BY_POS.get(entry.pos, ()):
-        try:
-            variants = inflect(entry, code, ruleset)
-        except (RuleError, orthography.NotSlenderizableError,
-                orthography.NoVowelError) as exc:
-            failures[code] = str(exc)
-            continue
+    for code, variants in paradigm.cells.items():
         for variant in variants:
             forms.setdefault(variant, set()).add(code)
     if entry.lemma not in forms:
@@ -434,7 +484,7 @@ def derive_forms(
             lenited = orthography.lenite(surface)
             if lenited != surface and lenited not in forms:
                 forms[lenited] = set(codes)
-    return forms, failures
+    return forms, paradigm.errors
 
 
 def surface_form_map(entry: Entry, ruleset: RuleSet) -> dict[str, set[str]]:

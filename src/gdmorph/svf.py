@@ -276,12 +276,13 @@ def serialize_entry(entry: Entry) -> str:
 def load_vocabulary_file(path) -> tuple[list[Entry], list[tuple[int, SvfError]]]:
     """Parse a vocabulary file line by line.
 
-    Blank lines and "#" comments are skipped.  A bad line never aborts
-    the load; it is returned as a (line number, error) pair instead.
+    Blank lines, "#" comments and a leading byte-order mark are
+    skipped.  A bad line never aborts the load; it is returned as a
+    (line number, error) pair instead.
     """
     entries = []
     errors = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for number, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

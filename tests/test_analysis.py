@@ -53,6 +53,12 @@ def test_load_warns_on_bad_rows_and_order(tmp_path):
     assert any("exceeds" in w for w in fl.warnings)
 
 
+def test_load_keeps_first_row_after_byte_order_mark(tmp_path):
+    fl = load_frequency_list(_freq(tmp_path, "\ufeff1\tan\t500\n2\tcat\t5\n"))
+    assert fl.rows == [(1, "an", 500), (2, "cat", 5)]
+    assert fl.warnings == []
+
+
 def test_load_empty_file_raises(tmp_path):
     with pytest.raises(FormatError):
         load_frequency_list(_freq(tmp_path, ""))

@@ -280,3 +280,30 @@ def test_tsv_decline_is_machine_readable(capsys):
     lines = out.splitlines()
     assert lines[1] == "case\tsingular\tplural"
     assert lines[2] == "nom.\tsaoghal\tsaoghalan"
+
+
+def test_inflect_underivable_form_exits_1(capsys, tmp_path):
+    vocab = tmp_path / "n.svf"
+    vocab.write_text("VERB \"'n\" \"'n\"\n", encoding="utf-8")
+    code, out, err = run(capsys, "--vocab", str(vocab), "inflect", "'n", "FUT_IND")
+    assert (code, out) == (1, "")
+    assert err == "no vowel in \"'n\"\n"
+
+
+def test_inflect_unslenderizable_form_exits_1(capsys, tmp_path):
+    vocab = tmp_path / "b.svf"
+    vocab.write_text('NOUN M "bàta" "bàtaichean" "bàta"\n', encoding="utf-8")
+    custom = tmp_path / "sl.grl"
+    custom.write_text("* NOUN\nGS: SL/LEMMA\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "--vocab", str(vocab), "--rules", str(custom), "inflect", "bàta", "GS"
+    )
+    assert (code, out) == (1, "")
+    assert err == "'bàta' ends in a vowel\n"
+
+
+def test_bad_selector_in_rule_file_exits_2(capsys, tmp_path):
+    custom = tmp_path / "bad.grl"
+    custom.write_text("* VERB & M\nVN: VN\n", encoding="utf-8")
+    code, _, err = run(capsys, "--vocab", VOCAB, "--rules", str(custom), "inflect", "òl", "VN")
+    assert code == 2 and "bad rule file: line 1" in err

@@ -1,0 +1,137 @@
+"""The compiled rule table against a plain first-match scan.
+
+The reference below re-matches every rule for every form; inflect and
+derive_forms must agree with it on every form code, variants and errors
+alike.
+"""
+
+from importlib import resources
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gdmorph import orthography, rules, svf
+from gdmorph.rules import (
+    FORMS_BY_POS,
+    IrregularUnsupportedError,
+    NoRuleMatchesError,
+    derive_forms,
+    inflect,
+    parse_rules,
+)
+from gdmorph.svf import ADJ, NON_EXISTENT, NOUN, UNKNOWN, VERB, Entry, part
+
+BUNDLED_BLOCKS = [
+    block.strip() + "\n"
+    for block in resources.files("gdmorph").joinpath("data", "rules.grl")
+    .read_text(encoding="utf-8").split("\n\n")
+    if block.strip().startswith("*")
+]
+# "'n" has no vowel and "bàta" ends in one, so suffixes and SL/ fail on them
+WORDS = ["cat", "bàta", "òl", "mòr", "rach", "sgoil", "'n"]
+SOURCES = {NOUN: ["LEMMA", "NS", "NP", "GS"], VERB: ["LEMMA", "VN"], ADJ: ["LEMMA", "CP"]}
+PARTS = {NOUN: ("np", "gs"), VERB: ("vn",), ADJ: ("cp",)}
+
+
+def _reference_matches(matcher: rules.Matcher, entry: Entry) -> bool:
+    return (
+        matcher.pos == entry.pos
+        and matcher.gender in (None, entry.gender)
+        and matcher.irregular in (None, entry.irregular)
+        and matcher.lemma_is in (None, entry.lemma)
+    )
+
+
+def reference_inflect(entry: Entry, form: str, ruleset: rules.RuleSet) -> list[str]:
+    candidates = [
+        rule for rule in ruleset.rules
+        if (rule.matcher.lemma_is is not None or not entry.irregular)
+        and _reference_matches(rule.matcher, entry)
+    ]
+    if entry.irregular and not candidates:
+        raise IrregularUnsupportedError(
+            f"{entry.lemma} is irregular and no special-case rule covers it"
+        )
+    for rule in candidates:
+        if form not in rule.derivations:
+            continue
+        variants = []
+        for derivation in rule.derivations[form]:
+            surface = rules._apply_derivation(entry, derivation)
+            if surface is not None and surface not in variants:
+                variants.append(surface)
+        return variants
+    if entry.irregular:
+        raise IrregularUnsupportedError(
+            f"{entry.lemma} is irregular and no special-case rule defines {form}"
+        )
+    raise NoRuleMatchesError(f"no rule defines {form} for {entry.lemma}")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except orthography.MorphologyError as exc:
+        return type(exc), str(exc)
+
+
+part_values = st.one_of(
+    st.sampled_from(WORDS).map(part), st.just(UNKNOWN), st.just(NON_EXISTENT)
+)
+
+
+@st.composite
+def entries(draw):
+    pos = draw(st.sampled_from(svf.PARTS_OF_SPEECH))
+    parts = {name: draw(part_values) for name in PARTS[pos]}
+    return Entry(
+        lemma=draw(st.sampled_from(WORDS)),
+        pos=pos,
+        irregular=draw(st.booleans()),
+        gender=draw(st.sampled_from(svf.GENDERS)) if pos == NOUN else None,
+        **parts,
+    )
+
+
+@st.composite
+def expressions(draw, pos):
+    transforms = draw(st.lists(st.sampled_from(["H/", "DH/", "SL/"]), max_size=2))
+    suffix = draw(st.sampled_from(["", '+"an|ean"', '+"aidh|idh"']))
+    return "".join(transforms) + draw(st.sampled_from(SOURCES[pos])) + suffix
+
+
+@st.composite
+def special_cases(draw):
+    pos = draw(st.sampled_from(svf.PARTS_OF_SPEECH))
+    selector = [pos]
+    if draw(st.booleans()):
+        selector.append("IRREG")
+    if pos == NOUN and draw(st.booleans()):
+        selector.append(draw(st.sampled_from(svf.GENDERS)))
+    selector.append(f'LEMMA="{draw(st.sampled_from(WORDS))}"')
+    codes = draw(st.lists(st.sampled_from(FORMS_BY_POS[pos]), min_size=1, max_size=4, unique=True))
+    body = "; ".join(
+        f"{code}: " + " | ".join(draw(st.lists(expressions(pos), min_size=1, max_size=2)))
+        for code in codes
+    )
+    return f"* {' & '.join(selector)}\n{body}\n"
+
+
+rule_files = st.lists(special_cases(), max_size=4).flatmap(
+    lambda specials: st.permutations(BUNDLED_BLOCKS + specials)
+).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=rule_files, entry_list=st.lists(entries(), min_size=1, max_size=6))
+def test_compiled_table_agrees_with_first_match_scan(text, entry_list):
+    ruleset = parse_rules(text)
+    for entry in entry_list:
+        expected_errors = {}
+        for form in FORMS_BY_POS[entry.pos]:
+            expected = _outcome(reference_inflect, entry, form, ruleset)
+            assert _outcome(inflect, entry, form, ruleset) == expected, form
+            if isinstance(expected, tuple):
+                expected_errors[form] = expected[1]
+        forms, failures = derive_forms(entry, ruleset)
+        assert failures == expected_errors

@@ -100,6 +100,37 @@ def test_parse_rejects(text, error):
         parse_rules(text)
 
 
+@pytest.mark.parametrize("selector", [
+    "NOUN & M & F",             # a second gender
+    "VERB & M",                 # only nouns have a gender
+    "ADJ & F",
+    'NOUN & LEMMAX="cat"',      # a predicate that merely starts with LEMMA
+    'NOUN & LEMMA="cat" & LEMMA="cait"',
+    'NOUN & LEMMA=""',
+    "VERB & IRREG",             # irregular entries see only LEMMA= rules
+])
+def test_parse_rejects_selectors_that_can_never_match(selector):
+    with pytest.raises(RuleSyntaxError, match="line 2"):
+        parse_rules(f"# special cases\n* {selector}\nNS: NS\n")
+
+
+def test_load_rules_accepts_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.grl"
+    path.write_text("\ufeff* NOUN & M\nNS: NS\n", encoding="utf-8")
+    (rule,) = rules.load_rules(path).rules
+    assert rule.matcher.gender == "M"
+
+
+def test_derivation_errors_share_one_base():
+    for error in (
+        rules.RuleError, RuleSyntaxError, NoRuleMatchesError,
+        IrregularUnsupportedError, MissingPrincipalPartError,
+        orthography.NoVowelError, orthography.NotSlenderizableError,
+    ):
+        assert issubclass(error, orthography.MorphologyError)
+        assert issubclass(error, ValueError)
+
+
 def test_error_messages_carry_line_numbers():
     with pytest.raises(RuleSyntaxError, match="line 3"):
         parse_rules("* NOUN & M\nNS: NS\nNP NP\n")

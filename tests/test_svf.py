@@ -275,3 +275,10 @@ def test_round_trip_random_entries():
         assert again == entry, line
         assert serialize_entry(again) == line
         assert validate(entry) == []
+
+
+def test_loader_accepts_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.svf"
+    path.write_text('\ufeffNOUN M "cat" "cait" "cait"\nADJ "mòr" "motha"\n', encoding="utf-8")
+    entries, errors = svf.load_vocabulary_file(path)
+    assert [e.lemma for e in entries] == ["cat", "mòr"] and errors == []
