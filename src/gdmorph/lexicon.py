@@ -10,6 +10,7 @@ traced back to their lemma and grammatical form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import orthography, rules, svf
 from .orthography import EXACT, FOLD_ACCENTS, FOLD_ACCENTS_CASE, fold_key
@@ -63,7 +64,14 @@ class AllFormsIndex:
     entries_per_pos: dict[str, int] = field(default_factory=dict)
     forms_per_pos: dict[str, int] = field(default_factory=dict)
     failures: list[tuple[str, str, str]] = field(default_factory=list)
-    _folded: dict[str, set[str]] = field(default_factory=dict)
+
+    @cached_property
+    def _folded(self) -> dict[str, set[str]]:
+        """Folded key -> surfaces, built on the first folded lookup."""
+        folded: dict[str, set[str]] = {}
+        for surface in self.form_index:
+            folded.setdefault(fold_key(surface, self.fold_policy), set()).add(surface)
+        return folded
 
     @property
     def distinct_form_count(self) -> int:
@@ -96,10 +104,6 @@ def build_all_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> AllFormsIndex:
         pos_forms.setdefault(entry.pos, set()).update(forms)
     for pos, forms in pos_forms.items():
         index.forms_per_pos[pos] = len(forms)
-    if vocabulary.fold_policy != EXACT:
-        for surface in index.form_index:
-            folded = fold_key(surface, vocabulary.fold_policy)
-            index._folded.setdefault(folded, set()).add(surface)
     return index
 
 
@@ -126,11 +130,23 @@ def recognize(index: AllFormsIndex, word: str) -> list[tuple[Entry, str]]:
         stripped = orthography.strip_prothesis(query)
         if stripped != query:
             hits = _exact_or_folded(index, stripped)
+    if len(hits) < 2:
+        return list(hits)
     return sorted(hits, key=_analysis_order)
 
 
+# (part of speech, form code) -> position in the paradigm
+_RANK = {
+    (pos, code): rank
+    for pos, codes in rules.FORMS_BY_POS.items()
+    for rank, code in enumerate(codes)
+}
+
+
 def _analysis_order(analysis: tuple[Entry, str]) -> tuple:
+    """Lemma, part of speech, paradigm order, code, then the SVF record,
+    so homographs come out in one order whatever the string hash seed."""
     entry, code = analysis
-    codes = rules.FORMS_BY_POS.get(entry.pos, ())
-    rank = codes.index(code) if code in codes else len(codes)
-    return (entry.lemma, entry.pos, rank, code)
+    # codes outside the paradigm (LEMMA) sort after every code in it
+    rank = _RANK.get((entry.pos, code), len(_RANK))
+    return (entry.lemma, entry.pos, rank, code, entry)

@@ -50,10 +50,8 @@ _STRIP_ACCENTS = str.maketrans(
 )
 
 _GAELIC_LETTERS = set("abcdefghilmnoprstu") | set(_GRAVE_VOWELS) | set(_ACUTE_VOWELS)
-_WORD_CHARS = (
-    _GAELIC_LETTERS
-    | {c.upper() for c in _GAELIC_LETTERS}
-    | {"'", "-", " "}
+_WORD_CHARS_TEXT = "".join(
+    _GAELIC_LETTERS | {c.upper() for c in _GAELIC_LETTERS} | {"'", "-", " "}
 )
 
 _PROTHETIC_PREFIXES = ("t-", "n-", "h-")
@@ -95,9 +93,9 @@ def is_gaelic_word(text: str) -> bool:
     space, with no leading or trailing whitespace."""
     if not text or text != text.strip():
         return False
-    if not any(c.lower() in _GAELIC_LETTERS for c in text):
+    if text.strip(_WORD_CHARS_TEXT):  # some character is outside the alphabet
         return False
-    return all(c in _WORD_CHARS for c in text)
+    return not _GAELIC_LETTERS.isdisjoint(text.lower())
 
 
 def is_vowel(ch: str) -> bool:
@@ -132,9 +130,9 @@ def fold_key(word: str, policy: str = EXACT) -> str:
     if policy == EXACT:
         return word
     if policy == FOLD_ACCENTS:
-        return normalize_accents(word, STRIP_ALL)
+        return word.translate(_STRIP_ACCENTS)
     if policy == FOLD_ACCENTS_CASE:
-        return normalize_accents(word, STRIP_ALL).casefold()
+        return word.translate(_STRIP_ACCENTS).casefold()
     raise ValueError(f"unknown fold policy: {policy!r}")
 
 

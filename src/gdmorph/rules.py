@@ -74,6 +74,9 @@ _SOURCES_BY_POS = {
     ADJ: (LEMMA, "CP"),
 }
 
+# principal-part source -> Entry field holding it
+_PART_FIELDS = {"NP": "np", "GS": "gs", "VN": "vn", "CP": "cp"}
+
 _TRANSFORMS = {
     "H": orthography.lenite,
     "DH": orthography.glottal_past_prefix,
@@ -368,16 +371,17 @@ def _resolve_source(entry: Entry, source: str) -> str | None:
     """Principal-part text; None when the part is marked non-existent."""
     if source == LEMMA:
         return entry.lemma
-    value = getattr(entry, source.lower(), None)
+    field_name = _PART_FIELDS.get(source)
+    value = getattr(entry, field_name) if field_name else None
     if value is None:
         raise MissingPrincipalPartError(
             f"{entry.lemma}: entry has no {source} part"
         )
+    if value.is_present:
+        return value.text
     if value.is_unknown:
         raise MissingPrincipalPartError(f"{entry.lemma}: {source} is unknown")
-    if value.is_non_existent:
-        return None
-    return value.text
+    return None
 
 
 def _apply_derivation(entry: Entry, derivation: Derivation) -> str | None:

@@ -97,6 +97,15 @@ class Entry:
     vn: PartValue | None = None
     cp: PartValue | None = None
 
+    def __hash__(self) -> int:
+        # equal entries have equal lemmas; hashing the lemma alone (whose
+        # hash CPython caches) keeps set inserts of (entry, code) cheap
+        return hash(self.lemma)
+
+    def __lt__(self, other: Entry) -> bool:
+        """Order by SVF record, the last tie-break between homographs."""
+        return serialize_entry(self) < serialize_entry(other)
+
 
 @dataclass(frozen=True)
 class Violation:

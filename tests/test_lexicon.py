@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from gdmorph.orthography import EXACT, FOLD_ACCENTS, FOLD_ACCENTS_CASE
 from gdmorph.svf import parse_svf_line
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +164,77 @@ def test_recognize_every_indexed_form(ruleset):
             else:
                 derived = rules.surface_form_map(entry, ruleset)
                 assert code in derived[surface] or surface == entry.lemma
+
+
+@pytest.mark.parametrize("policy", [FOLD_ACCENTS, FOLD_ACCENTS_CASE])
+def test_folded_lookup_after_exact_lookups(entries, ruleset, policy):
+    index = build_all_forms(Vocabulary(entries, fold_policy=policy), ruleset)
+    for word in ("saoghal", "shaoghalan", "òl", "mòr"):
+        assert recognize(index, word)
+    assert [(e.lemma, c) for e, c in recognize(index, "saoghàlan")] == [
+        ("saoghal", "NP"), ("saoghal", "DP"),
+    ]
+    upper = recognize(index, "SAOGHALAN")
+    assert (upper != []) == (policy == FOLD_ACCENTS_CASE)
+
+
+def test_exact_index_miss_builds_no_folded_map(entries, ruleset):
+    index = build_all_forms(Vocabulary(entries, fold_policy=EXACT), ruleset)
+    assert recognize(index, "saoghàlan") == []
+    assert recognize(index, "t-zzz") == []
+    assert "_folded" not in vars(index)
+
+
+def test_folded_map_waits_for_first_folded_lookup(entries, ruleset):
+    index = build_all_forms(Vocabulary(entries, fold_policy=FOLD_ACCENTS), ruleset)
+    assert "_folded" not in vars(index)
+    recognize(index, "saoghalan")
+    assert "_folded" not in vars(index)
+    recognize(index, "saoghàlan")
+    assert "saoghalan" in vars(index)["_folded"]
+
+
+def test_homographs_share_one_analyses_set(ruleset):
+    masculine = parse_svf_line('NOUN M "cas" "casan" "caise"')
+    feminine = parse_svf_line('NOUN F "cas" "casan" "cois"')
+    verb = parse_svf_line('VERB "cas" "casadh"')
+    index = build_all_forms(Vocabulary([masculine, feminine, verb]), ruleset)
+    assert {e for e, _ in index.form_index["cas"]} == {masculine, feminine, verb}
+    assert {e for e, _ in index.form_index["casan"]} == {masculine, feminine}
+    again = parse_svf_line('NOUN M "cas" "casan" "caise"')
+    assert again == masculine and hash(again) == hash(masculine)
+    assert masculine != feminine
+
+
+_ORDER_PROBE = """
+from gdmorph import rules
+from gdmorph.lexicon import Vocabulary, build_all_forms, recognize
+from gdmorph.svf import parse_svf_line, serialize_entry
+lines = ['NOUN M "cas" "casan" "caise"', 'NOUN F "cas" "casan" "cois"',
+         'NOUN F "cas" "casan" "caise"']
+index = build_all_forms(Vocabulary(map(parse_svf_line, lines)), rules.default_rules())
+for entry, code in recognize(index, "casan"):
+    print(serialize_entry(entry), code)
+"""
+
+
+def test_recognize_order_ignores_hash_seed():
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _ORDER_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(result.stdout)
+    assert len(outputs) == 1, outputs
+    (output,) = outputs
+    assert output.splitlines() == [
+        'NOUN F "cas" "casan" "caise" NP',
+        'NOUN F "cas" "casan" "cois" NP',
+        'NOUN M "cas" "casan" "caise" NP',
+        'NOUN F "cas" "casan" "caise" DP',
+        'NOUN F "cas" "casan" "cois" DP',
+        'NOUN M "cas" "casan" "caise" DP',
+    ]
