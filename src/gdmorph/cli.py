@@ -9,26 +9,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import analysis, export, lexicon, orthography, rules, svf
 
 ENV_RULES = "GDMORPH_RULES"
 
-_ACCENT_MODES = {
-    "fold": orthography.FOLD_ACUTE_TO_GRAVE,
-    "strip": orthography.STRIP_ALL,
-    "none": orthography.NO_FOLD,
-}
-
-
-@dataclass
-class CliConfig:
-    vocab_path: str | None
-    rules_path: str | None
-    fold: str
-    output: str
-    accent_mode: str
+_ACCENT_MODES = (orthography.FOLD_ACUTE_TO_GRAVE, orthography.STRIP_ALL, orthography.NO_FOLD)
 
 
 class _Fail(Exception):
@@ -37,29 +23,20 @@ class _Fail(Exception):
         self.code = code
 
 
-def _config(args) -> CliConfig:
-    return CliConfig(
-        vocab_path=args.vocab,
-        rules_path=args.rules or os.environ.get(ENV_RULES),
-        fold=args.fold,
-        output=args.format,
-        accent_mode=_ACCENT_MODES[args.accent_mode],
-    )
-
-
-def _load_vocab(cfg: CliConfig):
-    if not cfg.vocab_path:
+def _load_vocab(args):
+    if not args.vocab:
         raise _Fail(2, "this command needs --vocab")
     try:
-        return lexicon.Vocabulary.from_svf_file(cfg.vocab_path, fold_policy=cfg.fold)
+        return lexicon.Vocabulary.from_svf_file(args.vocab, fold_policy=args.fold)
     except OSError as exc:
         raise _Fail(2, f"cannot read vocabulary: {exc}")
 
 
-def _load_rules(cfg: CliConfig) -> rules.RuleSet:
+def _load_rules(args) -> rules.RuleSet:
+    path = args.rules or os.environ.get(ENV_RULES)
     try:
-        if cfg.rules_path:
-            return rules.load_rules(cfg.rules_path)
+        if path:
+            return rules.load_rules(path)
         return rules.default_rules()
     except OSError as exc:
         raise _Fail(2, f"cannot read rules: {exc}")
@@ -67,8 +44,8 @@ def _load_rules(cfg: CliConfig) -> rules.RuleSet:
         raise _Fail(2, f"bad rule file: {exc}")
 
 
-def _query_word(cfg: CliConfig, word: str) -> str:
-    return orthography.normalize_accents(orthography.canonical(word), cfg.accent_mode)
+def _query_word(args, word: str) -> str:
+    return orthography.normalize_accents(orthography.canonical(word), args.accent_mode)
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -82,8 +59,8 @@ def _write_out(path: str | None, text: str) -> None:
         raise _Fail(2, f"cannot write {path}: {exc}")
 
 
-def _report(cfg: CliConfig, pairs: list[tuple[str, str]]) -> None:
-    if cfg.output == "tsv":
+def _report(args, pairs: list[tuple[str, str]]) -> None:
+    if args.format == "tsv":
         for key, value in pairs:
             print(f"{key}\t{value}")
         return
@@ -110,8 +87,8 @@ def _bordered(headers: list[str], rows: list[list[str]], right: set[int]) -> str
     return "\n".join(lines) + "\n"
 
 
-def cmd_validate(cfg: CliConfig, args) -> int:
-    vocab, errors = _load_vocab(cfg)
+def cmd_validate(args) -> int:
+    vocab, errors = _load_vocab(args)
     for number, error in errors:
         print(f"line {number}: {error}")
     totals: dict[str, int] = {}
@@ -150,22 +127,22 @@ def cmd_validate(cfg: CliConfig, args) -> int:
             "nouns with unknown part",
             f"{nouns_incomplete} ({share:.1f}%)",
         ))
-    _report(cfg, pairs)
+    _report(args, pairs)
     return 0 if not errors else 2
 
 
-def _entries_for(cfg: CliConfig, vocab: lexicon.Vocabulary, lemma: str):
-    found = vocab.lookup(_query_word(cfg, lemma))
+def _entries_for(args, vocab: lexicon.Vocabulary, lemma: str):
+    found = vocab.lookup(_query_word(args, lemma))
     if not found:
         raise _Fail(1, f"not found: {lemma}")
     return found
 
 
-def cmd_inflect(cfg: CliConfig, args) -> int:
-    vocab, _ = _load_vocab(cfg)
-    ruleset = _load_rules(cfg)
+def cmd_inflect(args) -> int:
+    vocab, _ = _load_vocab(args)
+    ruleset = _load_rules(args)
     form = args.form.upper()
-    entries = _entries_for(cfg, vocab, args.lemma)
+    entries = _entries_for(args, vocab, args.lemma)
     printed = False
     for entry in entries:
         if form not in rules.FORMS_BY_POS.get(entry.pos, ()):
@@ -181,42 +158,27 @@ def cmd_inflect(cfg: CliConfig, args) -> int:
     return 0
 
 
-def _render(cfg: CliConfig, title: str, paradigm: rules.Paradigm, layout: str) -> None:
-    style = export.DELIMITED if cfg.output == "tsv" else export.ASCII
-    print(export.render_paradigm(title, paradigm.cells, layout, style=style), end="")
-    for code, message in sorted(paradigm.errors.items()):
-        print(f"{code}: {message}", file=sys.stderr)
-
-
-def cmd_decline(cfg: CliConfig, args) -> int:
-    vocab, _ = _load_vocab(cfg)
-    ruleset = _load_rules(cfg)
-    entries = [e for e in _entries_for(cfg, vocab, args.lemma) if e.pos == svf.NOUN]
+def _paradigms(args, pos: str, paradigm_of, layout: str) -> int:
+    vocab, _ = _load_vocab(args)
+    ruleset = _load_rules(args)
+    entries = [e for e in _entries_for(args, vocab, args.lemma) if e.pos == pos]
     if not entries:
-        raise _Fail(1, f"no noun entry for {args.lemma}")
-    for entry in entries:
-        _render(cfg, entry.lemma, rules.decline(entry, ruleset), export.NOUN_TABLE)
-    return 0
-
-
-def cmd_conjugate(cfg: CliConfig, args) -> int:
-    vocab, _ = _load_vocab(cfg)
-    ruleset = _load_rules(cfg)
-    entries = [e for e in _entries_for(cfg, vocab, args.lemma) if e.pos == svf.VERB]
-    if not entries:
-        raise _Fail(1, f"no verb entry for {args.lemma}")
+        raise _Fail(1, f"no {pos.lower()} entry for {args.lemma}")
+    style = export.DELIMITED if args.format == "tsv" else export.ASCII
     for entry in entries:
         try:
-            paradigm = rules.conjugate(entry, ruleset)
+            paradigm = paradigm_of(entry, ruleset)
         except rules.IrregularUnsupportedError as exc:
             raise _Fail(1, str(exc))
-        _render(cfg, entry.lemma, paradigm, export.VERB_TABLE)
+        print(export.render_paradigm(entry.lemma, paradigm.cells, layout, style=style), end="")
+        for code, message in sorted(paradigm.errors.items()):
+            print(f"{code}: {message}", file=sys.stderr)
     return 0
 
 
-def cmd_expand(cfg: CliConfig, args) -> int:
-    vocab, _ = _load_vocab(cfg)
-    ruleset = _load_rules(cfg)
+def cmd_expand(args) -> int:
+    vocab, _ = _load_vocab(args)
+    ruleset = _load_rules(args)
     index = lexicon.build_all_forms(vocab, ruleset)
     forms = sorted(index.forms())
     text = "".join(form + "\n" for form in forms)
@@ -226,11 +188,11 @@ def cmd_expand(cfg: CliConfig, args) -> int:
     return 0
 
 
-def cmd_recognize(cfg: CliConfig, args) -> int:
-    vocab, _ = _load_vocab(cfg)
-    ruleset = _load_rules(cfg)
+def cmd_recognize(args) -> int:
+    vocab, _ = _load_vocab(args)
+    ruleset = _load_rules(args)
     index = lexicon.build_all_forms(vocab, ruleset)
-    analyses = lexicon.recognize(index, _query_word(cfg, args.word))
+    analyses = lexicon.recognize(index, _query_word(args, args.word))
     if not analyses:
         raise _Fail(1, f"unrecognized: {args.word}")
     for entry, code in analyses:
@@ -238,7 +200,9 @@ def cmd_recognize(cfg: CliConfig, args) -> int:
     return 0
 
 
-def _load_freq(path: str) -> analysis.FrequencyList:
+def _load_freq(path: str | None) -> analysis.FrequencyList:
+    if path is None:
+        raise _Fail(2, "stats {hapax,zipf} needs --freq")
     try:
         return analysis.load_frequency_list(path)
     except OSError as exc:
@@ -247,17 +211,17 @@ def _load_freq(path: str) -> analysis.FrequencyList:
         raise _Fail(2, str(exc))
 
 
-def cmd_coverage(cfg: CliConfig, args) -> int:
-    vocab, _ = _load_vocab(cfg)
+def cmd_coverage(args) -> int:
+    vocab, _ = _load_vocab(args)
     freq = _load_freq(args.freq)
     if args.mode == "lemmas":
         keys = vocab.lemma_set
     else:
-        index = lexicon.build_all_forms(vocab, _load_rules(cfg))
+        index = lexicon.build_all_forms(vocab, _load_rules(args))
         keys = index.forms()
-    report = analysis.coverage(freq, keys, fold=cfg.fold)
+    report = analysis.coverage(freq, keys, fold=args.fold)
     unmatched = ", ".join(f"{lex} ({count})" for lex, count in report.unmatched_top)
-    _report(cfg, [
+    _report(args, [
         ("mode", args.mode),
         ("matched_types", str(report.matched_types)),
         ("total_types", str(report.total_types)),
@@ -270,24 +234,24 @@ def cmd_coverage(cfg: CliConfig, args) -> int:
     return 0
 
 
-def cmd_stats(cfg: CliConfig, args) -> int:
+def cmd_stats(args) -> int:
     if args.which == "plural-an":
-        vocab, _ = _load_vocab(cfg)
+        vocab, _ = _load_vocab(args)
         nouns = [e for e in vocab if e.pos == svf.NOUN]
         broad = analysis.count_suffix_pattern(nouns, "np", "an", min_extra=2)
         short = analysis.count_suffix_pattern(nouns, "np", "an", min_extra=2, exact=True)
-        _report(cfg, [
+        _report(args, [
             ("nouns", str(len(nouns))),
             ("plural_in_an", str(broad)),
             ("short_suffix", str(short)),
         ])
         return 0
     if args.which == "vn-endings":
-        vocab, _ = _load_vocab(cfg)
+        vocab, _ = _load_vocab(args)
         histogram = analysis.ending_histogram(
             vocab.entries, "vn", suffix_len=3, min_growth=3
         )
-        if cfg.output == "tsv":
+        if args.format == "tsv":
             for ending, count in histogram.buckets.items():
                 print(f"{ending}\t{count}")
         else:
@@ -295,7 +259,7 @@ def cmd_stats(cfg: CliConfig, args) -> int:
             print(_bordered(["Ending", "Freq"], rows, right={1}), end="")
         return 0
     if args.which == "dedup":
-        vocab, _ = _load_vocab(cfg)
+        vocab, _ = _load_vocab(args)
         case_pairs, accent_pairs = analysis.find_near_duplicates(vocab.entries)
         print(f"case pairs\t{len(case_pairs)}")
         for a, b in case_pairs:
@@ -322,11 +286,11 @@ def cmd_stats(cfg: CliConfig, args) -> int:
     return 0
 
 
-def cmd_export(cfg: CliConfig, args) -> int:
+def cmd_export(args) -> int:
     if args.kind == "ddl":
         _write_out(args.out, export.emit_ddl(dialect=args.dialect))
         return 0
-    vocab, errors = _load_vocab(cfg)
+    vocab, errors = _load_vocab(args)
     if errors:
         for number, error in errors:
             print(f"line {number}: {error}", file=sys.stderr)
@@ -398,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "validate": cmd_validate,
     "inflect": cmd_inflect,
-    "decline": cmd_decline,
-    "conjugate": cmd_conjugate,
+    "decline": lambda args: _paradigms(args, svf.NOUN, rules.decline, export.NOUN_TABLE),
+    "conjugate": lambda args: _paradigms(args, svf.VERB, rules.conjugate, export.VERB_TABLE),
     "expand": cmd_expand,
     "recognize": cmd_recognize,
     "coverage": cmd_coverage,
@@ -410,12 +374,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("stats",) and args.which in ("hapax", "zipf") and not args.freq:
-        print("stats {hapax,zipf} needs --freq", file=sys.stderr)
-        return 2
-    cfg = _config(args)
     try:
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](args)
     except _Fail as failure:
         print(str(failure), file=sys.stderr)
         return failure.code

@@ -201,7 +201,13 @@ _VERB_ROWS = (
     ("imperative 3pl", "IMP3P", "IMP_PASS", None),
 )
 
-_LAYOUT_POS = {NOUN_TABLE: NOUN, VERB_TABLE: VERB, ADJ_ROW: ADJ}
+# layout -> (part of speech, column headers, rows of (label or None, *form codes))
+_LAYOUTS = {
+    NOUN_TABLE: (NOUN, ["case", "singular", "plural"], _NOUN_ROWS),
+    VERB_TABLE: (VERB, ["form", "independent", "passive", "dependent"], _VERB_ROWS),
+    ADJ_ROW: (ADJ, ["positive", "comparative", "lenited"],
+              ((None, "POS_ADJ", "CP", "POS_LENITED"),)),
+}
 
 MISSING_CELL = "—"
 
@@ -223,43 +229,23 @@ def render_paradigm(
 ) -> str:
     """Readable paradigm table; multi-variant cells join with a space,
     missing cells show an em dash."""
-    pos = _LAYOUT_POS.get(layout)
-    if pos is None:
+    if layout not in _LAYOUTS:
         raise ValueError(f"unknown layout: {layout!r}")
+    pos, columns, rows = _LAYOUTS[layout]
     allowed = set(rules.FORMS_BY_POS[pos])
     stray = set(cells) - allowed
     if stray:
         raise LayoutMismatchError(
             f"form codes {sorted(stray)} do not belong to a {pos} table"
         )
-    if layout == NOUN_TABLE:
-        spec = TableRenderSpec(
-            columns=["case", "singular", "plural"],
-            rows=[
-                [label, _cell(cells, singular), _cell(cells, plural)]
-                for label, singular, plural in _NOUN_ROWS
-            ],
-            style=style,
-        )
-    elif layout == VERB_TABLE:
-        spec = TableRenderSpec(
-            columns=["form", "independent", "passive", "dependent"],
-            rows=[
-                [label, _cell(cells, ind), _cell(cells, pas), _cell(cells, dep)]
-                for label, ind, pas, dep in _VERB_ROWS
-            ],
-            style=style,
-        )
-    else:
-        spec = TableRenderSpec(
-            columns=["positive", "comparative", "lenited"],
-            rows=[[
-                _cell(cells, "POS_ADJ"),
-                _cell(cells, "CP"),
-                _cell(cells, "POS_LENITED"),
-            ]],
-            style=style,
-        )
+    spec = TableRenderSpec(
+        columns=columns,
+        rows=[
+            ([] if label is None else [label]) + [_cell(cells, code) for code in codes]
+            for label, *codes in rows
+        ],
+        style=style,
+    )
     table = spec.render()
     if title:
         return f"{title}\n{table}"

@@ -61,8 +61,6 @@ class AllFormsIndex:
 
     fold_policy: str = EXACT
     form_index: dict[str, set[tuple[Entry, str]]] = field(default_factory=dict)
-    entries_per_pos: dict[str, int] = field(default_factory=dict)
-    forms_per_pos: dict[str, int] = field(default_factory=dict)
     failures: list[tuple[str, str, str]] = field(default_factory=list)
 
     @cached_property
@@ -72,6 +70,16 @@ class AllFormsIndex:
         for surface in self.form_index:
             folded.setdefault(fold_key(surface, self.fold_policy), set()).add(surface)
         return folded
+
+    @property
+    def forms_per_pos(self) -> dict[str, int]:
+        """Distinct surface forms per part of speech; a spelling shared
+        by two parts of speech counts under both."""
+        counts: dict[str, int] = {}
+        for analyses in self.form_index.values():
+            for pos in {entry.pos for entry, _ in analyses}:
+                counts[pos] = counts.get(pos, 0) + 1
+        return counts
 
     @property
     def distinct_form_count(self) -> int:
@@ -89,10 +97,8 @@ def build_all_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> AllFormsIndex:
     rather than aborting the build.
     """
     index = AllFormsIndex(fold_policy=vocabulary.fold_policy)
-    pos_forms: dict[str, set[str]] = {}
     form_index = index.form_index
     for entry in vocabulary:
-        index.entries_per_pos[entry.pos] = index.entries_per_pos.get(entry.pos, 0) + 1
         forms, failures = rules.derive_forms(entry, ruleset)
         for code, message in failures.items():
             index.failures.append((entry.lemma, code, message))
@@ -101,15 +107,13 @@ def build_all_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> AllFormsIndex:
             if analyses is None:
                 analyses = form_index[surface] = set()
             analyses.update([(entry, code) for code in codes])
-        pos_forms.setdefault(entry.pos, set()).update(forms)
-    for pos, forms in pos_forms.items():
-        index.forms_per_pos[pos] = len(forms)
     return index
 
 
 def _exact_or_folded(index: AllFormsIndex, word: str) -> set[tuple[Entry, str]]:
     if word in index.form_index:
-        return set(index.form_index[word])
+        # the index's own set, not a copy: callers only read it
+        return index.form_index[word]
     hits: set[tuple[Entry, str]] = set()
     if index.fold_policy != EXACT:
         for surface in index._folded.get(fold_key(word, index.fold_policy), ()):

@@ -491,11 +491,6 @@ def derive_forms(
     return forms, paradigm.errors
 
 
-def surface_form_map(entry: Entry, ruleset: RuleSet) -> dict[str, set[str]]:
-    """Surface form -> form codes for one entry (errors skipped)."""
-    return derive_forms(entry, ruleset)[0]
-
-
 def all_surface_forms(entry: Entry, ruleset: RuleSet) -> set[str]:
     """The distinct spellings under which the entry can appear in text."""
-    return set(surface_form_map(entry, ruleset))
+    return set(derive_forms(entry, ruleset)[0])

@@ -81,6 +81,11 @@ def test_decline_not_a_noun(capsys):
     assert code == 1 and "no noun entry" in err
 
 
+def test_conjugate_not_a_verb(capsys):
+    code, _, err = run(capsys, "--vocab", VOCAB, "conjugate", "saoghal")
+    assert code == 1 and "no verb entry for saoghal" in err
+
+
 def test_conjugate_renders_table(capsys):
     code, out, _ = run(capsys, "--vocab", VOCAB, "conjugate", "òl")
     assert code == 0
@@ -252,6 +257,24 @@ def test_accent_mode_applies_to_query(capsys, tmp_path):
         "--accent-mode", "fold", "inflect", "mór", "CP",
     )
     assert code == 0 and out.strip() == "motha"
+
+
+def test_fold_and_accent_mode_are_separate_knobs(capsys, tmp_path):
+    # --accent-mode rewrites the query (mór -> mòr) before lookup; --fold
+    # sets the key both lemma and query are looked up under
+    path = tmp_path / "v.svf"
+    path.write_text('ADJ "mòr" "motha"\nADJ "mor" "morsa"\n', encoding="utf-8")
+
+    def inflect(*options):
+        return run(capsys, "--vocab", str(path), *options, "inflect", "mór", "CP")
+
+    code, out, _ = inflect("--fold", "exact", "--accent-mode", "fold")
+    assert code == 0 and out.split() == ["motha"]
+    for fold in ("accents", "accents-case"):
+        code, out, _ = inflect("--fold", fold)
+        assert code == 0 and out.split() == ["motha", "morsa"]
+    code, _, err = inflect("--fold", "exact")
+    assert code == 1 and "not found: mór" in err
 
 
 def test_rules_env_override(capsys, tmp_path, monkeypatch):

@@ -74,6 +74,22 @@ def test_build_all_forms_counts(entries, ruleset):
     assert index.failures == []
 
 
+def test_forms_per_pos_counts_shared_spellings_under_each_pos(ruleset):
+    entries, errors = svf.load_vocabulary_file(DATA / "coverage20.svf")
+    assert not errors
+    entries += [
+        parse_svf_line('NOUN M "mòr" "mòran" "mòir"'),
+        parse_svf_line('ADJ "mòr" "motha"'),
+    ]
+    index = build_all_forms(Vocabulary(entries), ruleset)
+    unions: dict[str, set[str]] = {}
+    for entry in entries:
+        unions.setdefault(entry.pos, set()).update(rules.all_surface_forms(entry, ruleset))
+    assert "mòr" in unions["NOUN"] and "mòr" in unions["ADJ"]
+    assert index.forms_per_pos == {pos: len(forms) for pos, forms in unions.items()}
+    assert sum(index.forms_per_pos.values()) > index.distinct_form_count
+
+
 def test_build_all_forms_empty_vocabulary(ruleset):
     index = build_all_forms(Vocabulary([]), ruleset)
     assert index.distinct_form_count == 0
@@ -162,7 +178,7 @@ def test_recognize_every_indexed_form(ruleset):
             if code == rules.LEMMA:
                 assert surface in rules.all_surface_forms(entry, ruleset)
             else:
-                derived = rules.surface_form_map(entry, ruleset)
+                derived = rules.derive_forms(entry, ruleset)[0]
                 assert code in derived[surface] or surface == entry.lemma
 
 
