@@ -24,6 +24,10 @@ class RangeError(ValueError):
     """A requested rank beyond the end of the list."""
 
 
+class TokenTotalError(ValueError):
+    """A frequency list whose counts do not add up to a positive total."""
+
+
 @dataclass
 class FrequencyList:
     """Ranked (rank, lexeme, count) rows from a corpus word list."""
@@ -151,6 +155,8 @@ def cumulative_coverage_curve(
     if k < 1 or k > len(freq.rows):
         raise RangeError(f"k={k} outside 1..{len(freq.rows)}")
     total = freq.total_tokens
+    if total <= 0:
+        raise TokenTotalError(f"token counts sum to {total}; shares need a positive total")
     points = []
     running = 0
     for position in range(k):

@@ -279,7 +279,7 @@ def cmd_stats(args) -> int:
     freq = _load_freq(args.freq)
     try:
         points = analysis.cumulative_coverage_curve(freq, args.k)
-    except analysis.RangeError as exc:
+    except (analysis.RangeError, analysis.TokenTotalError) as exc:
         raise _Fail(2, str(exc))
     for rank, ratio in points:
         print(f"{rank}\t{ratio:.4f}")

@@ -22,12 +22,14 @@ rules belong first.
 
 A RuleSet is compiled, not re-matched for every form: the rules that
 match one selector key (part of speech, gender, IRREG, and the lemma
-when a LEMMA= rule names it) are resolved once into a form code ->
-derivations table, and every entry with that key reads it.
+when a LEMMA= rule names it) are resolved once into a plan (the
+distinct principal parts read, the distinct steps, and the steps of
+each form code), and every entry with that key runs it once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple
@@ -125,12 +127,25 @@ class Derivation:
 
 
 class Selection(NamedTuple):
-    """The compiled rules for one selector key: each form code mapped to
-    the derivations of the first matching rule that defines it, and
-    whether any rule matched at all."""
+    """The compiled rules for one selector key: a plan that each entry
+    with the key runs once.
+
+    The plan's values are numbered: first each distinct principal part
+    it reads (sources), then one per step, a step applying one suffix or
+    transform to an earlier value.  forms maps each form code to the
+    values of its alternatives, from the first matching rule that
+    defines it; realized lists each such value with its codes and, for a
+    noun, the value of its lenited allomorph (None if the value is
+    already lenited: lenition is idempotent), as lenited_lemma does for
+    the lemma.  matched tells whether any rule matched at all.
+    """
 
     matched: bool
-    derivations: dict[str, tuple[Derivation, ...]]
+    sources: tuple[str, ...]
+    steps: tuple[tuple[int, Callable, SuffixAlternation | None], ...]
+    forms: dict[str, tuple[int, ...]]
+    realized: tuple[tuple[int, tuple[str, ...], int | None], ...]
+    lenited_lemma: int | None
 
 
 @dataclass(frozen=True)
@@ -203,7 +218,47 @@ def _compile(rules: list[Rule], entry: Entry) -> Selection:
             matched = True
             for code, alternatives in rule.derivations.items():
                 derivations.setdefault(code, alternatives)
-    return Selection(matched, derivations)
+    return _plan(entry.pos, matched, derivations)
+
+
+def _plan(pos: str, matched: bool, derivations: dict) -> Selection:
+    """Number the values the derivations need, each distinct one once,
+    sources first, then steps in the order they are first needed."""
+    codes = [code for code in FORMS_BY_POS.get(pos, ()) if code in derivations]
+    sources = {LEMMA: 0}  # a noun's lemma has an allomorph even if no rule reads it
+    for code in codes:
+        for derivation in derivations[code]:
+            sources.setdefault(derivation.source, len(sources))
+    steps: dict[tuple, int] = {}
+
+    def step(value: int, function: Callable, suffix=None) -> int:
+        return steps.setdefault((value, function, suffix), len(sources) + len(steps))
+
+    forms = {}
+    realized: dict[int, list[str]] = {}
+    for code in codes:
+        ends = []
+        for derivation in derivations[code]:
+            value = sources[derivation.source]
+            if derivation.suffix is not None:
+                value = step(value, orthography.attach_suffix, derivation.suffix)
+            for name in reversed(derivation.transforms):
+                value = step(value, _TRANSFORMS[name])
+            ends.append(value)
+            realized.setdefault(value, []).append(code)
+        forms[code] = tuple(ends)
+
+    lenited = {value for (_, function, _), value in steps.items() if function is orthography.lenite}
+
+    def allomorph(value: int) -> int | None:
+        if pos != NOUN or value in lenited:
+            return None
+        return step(value, orthography.lenite)
+
+    # allomorph() may add steps, so the step tuple is taken last
+    ends = tuple((end, tuple(codes), allomorph(end)) for end, codes in realized.items())
+    lenited_lemma = allomorph(sources[LEMMA])
+    return Selection(matched, tuple(sources), tuple(steps), forms, ends, lenited_lemma)
 
 
 def _strip_comment(line: str) -> str:
@@ -367,52 +422,85 @@ def default_rules() -> RuleSet:
     return parse_rules(text)
 
 
-def _resolve_source(entry: Entry, source: str) -> str | None:
+# a derivation failure: (exception type, message); the exception itself
+# is not kept, so no traceback outlives the step that raised it
+Failure = tuple[type, str]
+
+
+def _resolve(entry: Entry, source: str) -> str | None | Failure:
     """Principal-part text; None when the part is marked non-existent."""
     if source == LEMMA:
         return entry.lemma
     field_name = _PART_FIELDS.get(source)
     value = getattr(entry, field_name) if field_name else None
     if value is None:
-        raise MissingPrincipalPartError(
-            f"{entry.lemma}: entry has no {source} part"
-        )
+        return MissingPrincipalPartError, f"{entry.lemma}: entry has no {source} part"
     if value.is_present:
         return value.text
     if value.is_unknown:
-        raise MissingPrincipalPartError(f"{entry.lemma}: {source} is unknown")
+        return MissingPrincipalPartError, f"{entry.lemma}: {source} is unknown"
     return None
 
 
-def _apply_derivation(entry: Entry, derivation: Derivation) -> str | None:
-    base = _resolve_source(entry, derivation.source)
-    if base is None:
-        return None
-    if derivation.suffix is not None:
-        base = orthography.attach_suffix(base, derivation.suffix)
-    for transform in reversed(derivation.transforms):
-        base = _TRANSFORMS[transform](base)
-    return base
+def _run(entry: Entry, selection: Selection) -> tuple[list, bool]:
+    """Every value of the entry's plan, each computed once, and whether
+    any of them is a failure."""
+    values = []
+    failed = False
+    for source in selection.sources:
+        value = _resolve(entry, source)
+        failed = failed or value.__class__ is tuple
+        values.append(value)
+    for value, step, suffix in selection.steps:
+        base = values[value]
+        if base is not None and base.__class__ is not tuple:
+            try:
+                base = step(base) if suffix is None else step(base, suffix)
+            except MorphologyError as exc:
+                base = exc.__class__, str(exc)
+                failed = True
+        values.append(base)
+    return values, failed
 
 
-def _realize(entry: Entry, form: str, selection: Selection) -> list[str]:
-    alternatives = selection.derivations.get(form)
-    if alternatives is None:
-        if not entry.irregular:
-            raise NoRuleMatchesError(f"no rule defines {form} for {entry.lemma}")
-        if not selection.matched:
-            raise IrregularUnsupportedError(
-                f"{entry.lemma} is irregular and no special-case rule covers it"
-            )
-        raise IrregularUnsupportedError(
-            f"{entry.lemma} is irregular and no special-case rule defines {form}"
-        )
-    variants = []
-    for derivation in alternatives:
-        surface = _apply_derivation(entry, derivation)
-        if surface is not None and surface not in variants:
-            variants.append(surface)
-    return variants
+def _failures(
+    entry: Entry, selection: Selection, values: list, forms: tuple[str, ...]
+) -> dict[str, Failure]:
+    """The failure of each form code that cannot be derived: the first
+    failed value among its alternatives, or no rule defining it."""
+    failures = {}
+    for form in forms:
+        ends = selection.forms.get(form)
+        if ends is None:
+            if not entry.irregular:
+                failures[form] = NoRuleMatchesError, f"no rule defines {form} for {entry.lemma}"
+            else:
+                rule = f"defines {form}" if selection.matched else "covers it"
+                failures[form] = (
+                    IrregularUnsupportedError,
+                    f"{entry.lemma} is irregular and no special-case rule {rule}",
+                )
+            continue
+        for end in ends:
+            if values[end].__class__ is tuple:
+                failures[form] = values[end]
+                break
+    return failures
+
+
+def _evaluate(
+    entry: Entry, selection: Selection, forms: tuple[str, ...]
+) -> tuple[dict[str, list[str]], dict[str, Failure]]:
+    """The variants of each form code that can be derived, and the
+    failure of each one that cannot."""
+    values, _ = _run(entry, selection)
+    failures = _failures(entry, selection, values, forms)
+    cells = {}
+    for form in forms:
+        if form not in failures:
+            variants = (values[end] for end in selection.forms[form])
+            cells[form] = list(dict.fromkeys(v for v in variants if v is not None))
+    return cells, failures
 
 
 def inflect(entry: Entry, form: str, ruleset: RuleSet) -> list[str]:
@@ -423,7 +511,11 @@ def inflect(entry: Entry, form: str, ruleset: RuleSet) -> list[str]:
     """
     if form not in FORMS_BY_POS.get(entry.pos, ()):
         raise UnknownFormCodeError(f"{form} is not a {entry.pos} form")
-    return _realize(entry, form, ruleset.select(entry))
+    cells, failures = _evaluate(entry, ruleset.select(entry), (form,))
+    if failures:
+        error, message = failures[form]
+        raise error(message)
+    return cells[form]
 
 
 @dataclass
@@ -436,14 +528,9 @@ class Paradigm:
 
 
 def _fill_paradigm(entry: Entry, ruleset: RuleSet, forms: tuple[str, ...]) -> Paradigm:
-    selection = ruleset.select(entry)
-    paradigm = Paradigm(pos=entry.pos)
-    for form in forms:
-        try:
-            paradigm.cells[form] = _realize(entry, form, selection)
-        except MorphologyError as exc:
-            paradigm.errors[form] = str(exc)
-    return paradigm
+    cells, failures = _evaluate(entry, ruleset.select(entry), forms)
+    errors = {form: message for form, (_, message) in failures.items()}
+    return Paradigm(pos=entry.pos, cells=cells, errors=errors)
 
 
 def decline(entry: Entry, ruleset: RuleSet) -> Paradigm:
@@ -476,19 +563,38 @@ def derive_forms(
     with the codes of the form it varies, unless that spelling is
     already a form in its own right.
     """
-    paradigm = _fill_paradigm(entry, ruleset, FORMS_BY_POS.get(entry.pos, ()))
+    selection = ruleset.select(entry)
+    values, failed = _run(entry, selection)
+    pos_forms = FORMS_BY_POS.get(entry.pos, ())
+    failures = {}
+    if failed or len(selection.forms) < len(pos_forms):
+        failures = _failures(entry, selection, values, pos_forms)
     forms: dict[str, set[str]] = {}
-    for code, variants in paradigm.cells.items():
-        for variant in variants:
-            forms.setdefault(variant, set()).add(code)
+    allomorphs = []  # (surface, value of its lenited form), nouns only
+    for end, realized, lenited in selection.realized:
+        surface = values[end]
+        if surface is None or surface.__class__ is tuple:
+            continue
+        if failures:
+            realized = [code for code in realized if code not in failures]
+            if not realized:
+                continue
+        known = forms.get(surface)
+        if known is None:
+            forms[surface] = set(realized)
+            if lenited is not None:
+                allomorphs.append((surface, lenited))
+        else:
+            known.update(realized)
     if entry.lemma not in forms:
         forms[entry.lemma] = {LEMMA}
-    if entry.pos == NOUN:
-        for surface, codes in list(forms.items()):
-            lenited = orthography.lenite(surface)
-            if lenited != surface and lenited not in forms:
-                forms[lenited] = set(codes)
-    return forms, paradigm.errors
+        if selection.lenited_lemma is not None:
+            allomorphs.append((entry.lemma, selection.lenited_lemma))
+    for surface, lenited in allomorphs:
+        lenited = values[lenited]
+        if lenited != surface and lenited not in forms:
+            forms[lenited] = set(forms[surface])
+    return forms, {code: message for code, (_, message) in failures.items()}
 
 
 def all_surface_forms(entry: Entry, ruleset: RuleSet) -> set[str]:

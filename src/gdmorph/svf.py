@@ -17,7 +17,8 @@ blank lines are ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from . import orthography
 
@@ -45,8 +46,7 @@ class ConstraintViolationError(SvfError):
     """Fields present or missing in a way the part of speech forbids."""
 
 
-@dataclass(frozen=True)
-class PartValue:
+class PartValue(NamedTuple):
     """A principal part: a word, unknown ("?"), or non-existent ("-")."""
 
     state: str
@@ -79,8 +79,7 @@ def part(text: str) -> PartValue:
     return PartValue(_PRESENT, text)
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     """One headword with its principal parts.
 
     np/gs are set only on nouns, vn only on verbs, cp only on
@@ -107,8 +106,7 @@ class Entry:
         return serialize_entry(self) < serialize_entry(other)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed integrity clause, naming the offending field."""
 
     field: str
@@ -194,8 +192,52 @@ def _part_token(token: tuple[bool, str], field: str) -> PartValue:
     raise SvfSyntaxError(f"expected quoted word, ? or - for {field}, got {text!r}")
 
 
+# a record as serialize_entry writes it: single spaces, quoted words,
+# bare markers; group order: gender, VERB|ADJ, lemma, part, part, IRREG
+_RECORD = re.compile(
+    r'(?:NOUN ([MF])|(VERB|ADJ)) "([^"]*)" ("[^"]*"|[?-])(?: ("[^"]*"|[?-]))?( IRREG)?'
+)
+_MARKERS = {"?": UNKNOWN, "-": NON_EXISTENT}
+
+
+def _record_part(token: str) -> PartValue | None:
+    """A part token the pattern matched; None when its word needs the
+    tokenizer's checks."""
+    marker = _MARKERS.get(token)
+    if marker is not None:
+        return marker
+    word = token[1:-1]
+    return part(word) if orthography.is_gaelic_word(word) else None
+
+
 def parse_svf_line(line: str) -> Entry:
-    """Parse one non-blank, non-comment record into an Entry."""
+    """Parse one non-blank, non-comment record into an Entry.
+
+    A record in the canonical layout whose words are all in the
+    alphabet is read by one pattern match.  Such a line holds no
+    character that NFC composition or apostrophe folding would change,
+    so it needs neither.  Every other line goes through the tokenizer,
+    which accepts the same records and raises every error.
+    """
+    match = _RECORD.fullmatch(line)
+    if match is not None:
+        gender, pos, lemma, first, second, irregular = match.groups()
+        if (gender is None) == (second is None) and orthography.is_gaelic_word(lemma):
+            value = _record_part(first)
+            irregular = irregular is not None
+            if gender is not None:
+                gs = _record_part(second)
+                if value is not None and gs is not None:
+                    return Entry(lemma, NOUN, irregular, gender, value, gs)
+            elif value is not None:
+                if pos == VERB:
+                    return Entry(lemma, VERB, irregular, vn=value)
+                return Entry(lemma, ADJ, irregular, cp=value)
+    return _parse_tokens(line)
+
+
+def _parse_tokens(line: str) -> Entry:
+    """Parse a record token by token, checking each field in turn."""
     tokens = _tokenize(orthography.canonical(line.rstrip("\n")))
     if not tokens:
         raise SvfSyntaxError("empty record")
@@ -299,5 +341,7 @@ def load_vocabulary_file(path) -> tuple[list[Entry], list[tuple[int, SvfError]]]
             try:
                 entries.append(parse_svf_line(line))
             except SvfError as exc:
-                errors.append((number, exc))
+                # without its traceback, which holds this frame and so
+                # makes a reference cycle through `errors`
+                errors.append((number, exc.with_traceback(None)))
     return entries, errors

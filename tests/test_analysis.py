@@ -7,6 +7,7 @@ from gdmorph import rules, svf
 from gdmorph.analysis import (
     FormatError,
     RangeError,
+    TokenTotalError,
     count_suffix_pattern,
     coverage,
     cumulative_coverage_curve,
@@ -140,6 +141,13 @@ def test_cumulative_curve_range_errors(tmp_path):
         cumulative_coverage_curve(fl, 2)
     with pytest.raises(RangeError):
         cumulative_coverage_curve(fl, 0)
+
+
+def test_cumulative_curve_needs_positive_token_total(tmp_path):
+    for counts in ("0\n2\tb\t0", "3\n2\tb\t-3"):
+        fl = load_frequency_list(_freq(tmp_path, f"1\ta\t{counts}\n"))
+        with pytest.raises(TokenTotalError, match="positive total"):
+            cumulative_coverage_curve(fl, 1)
 
 
 @pytest.fixture(scope="module")

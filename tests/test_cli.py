@@ -214,6 +214,14 @@ def test_stats_zipf_out_of_range(capsys):
     assert code == 2 and "outside" in err
 
 
+def test_stats_zipf_zero_token_total_exits_2(capsys, tmp_path):
+    path = tmp_path / "zero.tsv"
+    path.write_text("1\tcat\t0\n2\tcù\t0\n", encoding="utf-8")
+    code, out, err = run(capsys, "stats", "zipf", "--freq", str(path), "--k", "1")
+    assert code == 2 and out == ""
+    assert "token counts sum to 0" in err
+
+
 def test_stats_needs_freq(capsys):
     code, _, err = run(capsys, "stats", "zipf")
     assert code == 2 and "--freq" in err

@@ -1,8 +1,8 @@
 """The compiled rule table against a plain first-match scan.
 
-The reference below re-matches every rule for every form; inflect and
-derive_forms must agree with it on every form code, variants and errors
-alike.
+The reference below re-matches every rule for every form and evaluates
+each derivation on its own; inflect and derive_forms must agree with it
+on every form code, variants and errors alike.
 """
 
 from importlib import resources
@@ -42,6 +42,33 @@ def _reference_matches(matcher: rules.Matcher, entry: Entry) -> bool:
     )
 
 
+def reference_apply(entry: Entry, derivation: rules.Derivation) -> str | None:
+    """One derivation evaluated on its own, as the evaluator did before
+    the per-selection plan: the source part, the suffix, then the
+    transforms right to left."""
+    if derivation.source == "LEMMA":
+        base = entry.lemma
+    else:
+        value = getattr(entry, derivation.source.lower())
+        if value is None:
+            raise rules.MissingPrincipalPartError(
+                f"{entry.lemma}: entry has no {derivation.source} part"
+            )
+        if value.is_unknown:
+            raise rules.MissingPrincipalPartError(
+                f"{entry.lemma}: {derivation.source} is unknown"
+            )
+        if value.is_non_existent:
+            return None
+        base = value.text
+    if derivation.suffix is not None:
+        base = orthography.attach_suffix(base, derivation.suffix)
+    for transform in reversed(derivation.transforms):
+        base = {"H": orthography.lenite, "DH": orthography.glottal_past_prefix,
+                "SL": orthography.slenderize}[transform](base)
+    return base
+
+
 def reference_inflect(entry: Entry, form: str, ruleset: rules.RuleSet) -> list[str]:
     candidates = [
         rule for rule in ruleset.rules
@@ -57,7 +84,7 @@ def reference_inflect(entry: Entry, form: str, ruleset: rules.RuleSet) -> list[s
             continue
         variants = []
         for derivation in rule.derivations[form]:
-            surface = rules._apply_derivation(entry, derivation)
+            surface = reference_apply(entry, derivation)
             if surface is not None and surface not in variants:
                 variants.append(surface)
         return variants
@@ -75,17 +102,18 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-part_values = st.one_of(
-    st.sampled_from(WORDS).map(part), st.just(UNKNOWN), st.just(NON_EXISTENT)
-)
+def part_values(words=WORDS):
+    return st.one_of(
+        st.sampled_from(words).map(part), st.just(UNKNOWN), st.just(NON_EXISTENT)
+    )
 
 
 @st.composite
-def entries(draw):
+def entries(draw, words=WORDS):
     pos = draw(st.sampled_from(svf.PARTS_OF_SPEECH))
-    parts = {name: draw(part_values) for name in PARTS[pos]}
+    parts = {name: draw(part_values(words)) for name in PARTS[pos]}
     return Entry(
-        lemma=draw(st.sampled_from(WORDS)),
+        lemma=draw(st.sampled_from(words)),
         pos=pos,
         irregular=draw(st.booleans()),
         gender=draw(st.sampled_from(svf.GENDERS)) if pos == NOUN else None,
@@ -135,3 +163,35 @@ def test_compiled_table_agrees_with_first_match_scan(text, entry_list):
                 expected_errors[form] = expected[1]
         forms, failures = derive_forms(entry, ruleset)
         assert failures == expected_errors
+
+
+def reference_derive_forms(entry: Entry, ruleset: rules.RuleSet):
+    """derive_forms as it read the paradigm one form code at a time."""
+    forms, errors = {}, {}
+    for code in FORMS_BY_POS[entry.pos]:
+        outcome = _outcome(reference_inflect, entry, code, ruleset)
+        if isinstance(outcome, tuple):
+            errors[code] = outcome[1]
+            continue
+        for variant in outcome:
+            forms.setdefault(variant, set()).add(code)
+    if entry.lemma not in forms:
+        forms[entry.lemma] = {"LEMMA"}
+    if entry.pos == NOUN:
+        for surface, codes in list(forms.items()):
+            lenited = orthography.lenite(surface)
+            if lenited != surface and lenited not in forms:
+                forms[lenited] = set(codes)
+    return forms, errors
+
+
+# "chat" is the lenited "cat", so an allomorph can coincide with a form
+LENITION_WORDS = WORDS + ["chat", "fear"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=rule_files, entry_list=st.lists(entries(LENITION_WORDS), min_size=1, max_size=6))
+def test_derive_forms_agrees_with_per_form_reference(text, entry_list):
+    ruleset = parse_rules(text)
+    for entry in entry_list:
+        assert derive_forms(entry, ruleset) == reference_derive_forms(entry, ruleset)

@@ -1,13 +1,15 @@
-"""Properties of the orthography and SVF primitives on generated input.
+"""Properties of the orthography primitives and the parsers on generated
+input.
 
 `is_gaelic_word` is checked against the per-character definition it
-replaced, kept here as the reference.
+replaced, kept here as the reference.  The SVF reader's one-pattern path
+is checked against its tokenizer path, which reads every line.
 """
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdmorph import orthography
+from gdmorph import orthography, rules, svf
 from gdmorph.svf import (
     ADJ,
     GENDERS,
@@ -16,6 +18,8 @@ from gdmorph.svf import (
     UNKNOWN,
     VERB,
     Entry,
+    PartValue,
+    SvfError,
     parse_svf_line,
     part,
     serialize_entry,
@@ -72,3 +76,86 @@ def test_serialize_then_parse_round_trips(entry):
 def test_lenite_is_idempotent(word):
     once = orthography.lenite(word)
     assert orthography.lenite(once) == once
+
+
+# SVF lines: records in the canonical layout and every way to leave it
+# (extra or missing spaces, tabs, quoted markers, IRREG anywhere, stray
+# or unbalanced quotes, letters outside the alphabet, decomposed accents,
+# curly apostrophes)
+svf_words = st.text(alphabet=GAELIC + "'- " + OTHER + '"' + "\u0300?", max_size=8)
+svf_tokens = st.one_of(
+    svf_words.map(lambda word: f'"{word}"'),
+    svf_words,
+    st.sampled_from(
+        ["NOUN", "VERB", "ADJ", "PRON", "M", "F", "IRREG", "?", "-", '"?"', '"-"', '"']
+    ),
+)
+separators = st.sampled_from([" ", " ", " ", " ", "  ", "", "\t"])
+svf_fields = st.one_of(
+    st.one_of(words, svf_words).map(lambda word: f'"{word}"'),
+    st.sampled_from(["?", "-", '"?"', '"-"']),
+)
+PART_COUNTS = {NOUN: 2, VERB: 1, ADJ: 1}
+
+
+@st.composite
+def record_lines(draw):
+    shape = draw(st.sampled_from(["entry", "record", "tokens"]))
+    if shape == "entry":  # a valid record
+        tokens = serialize_entry(draw(entries())).split(" ")
+    elif shape == "record":  # the record layout over any words and markers
+        pos = draw(st.sampled_from([NOUN, VERB, ADJ]))
+        tokens = [pos, draw(st.sampled_from(GENDERS))] if pos == NOUN else [pos]
+        tokens.append('"' + draw(st.one_of(words, svf_words)) + '"')
+        tokens += [draw(svf_fields) for _ in range(PART_COUNTS[pos])]
+        if draw(st.booleans()):
+            tokens.append("IRREG")
+    else:
+        pos = draw(st.sampled_from(["NOUN", "VERB", "ADJ", "PRON"]))
+        tokens = [pos, *draw(st.lists(st.one_of(svf_fields, svf_tokens), max_size=5))]
+    if draw(st.booleans()):
+        gaps = st.just(" ")
+    elif draw(st.booleans()):
+        gaps = st.sampled_from([" ", "  ", "   "])
+    else:
+        gaps = separators
+    line = tokens[0]
+    for token in tokens[1:]:
+        line += draw(gaps) + token
+    edge = st.sampled_from(["", "", "", " "])
+    return draw(edge) + line + draw(edge)
+
+
+def _parse_outcome(parse, line):
+    try:
+        entry = parse(line)
+    except SvfError as exc:
+        return type(exc), str(exc)
+    assert type(entry) is Entry
+    assert all(
+        value is None or type(value) is PartValue
+        for value in (entry.np, entry.gs, entry.vn, entry.cp)
+    )
+    return entry
+
+
+@settings(max_examples=500)
+@given(record_lines())
+def test_svf_pattern_path_agrees_with_tokenizer(line):
+    assert _parse_outcome(parse_svf_line, line) == _parse_outcome(svf._parse_tokens, line)
+
+
+rule_fragments = st.sampled_from([
+    "* ", "*", "NOUN", "VERB", "ADJ", "M", "F", "IRREG", " & ", "&",
+    'LEMMA="cat"', 'LEMMA=""', "LEMMAX=", "\n", "\n", "; ", ";", ":", " | ", "|",
+    "NS", "NP", "GS", "GP", "VN", "CP", "PASTP", "POS_LENITED", "XX", "LEMMA",
+    "H/", "DH/", "SL/", "/", '+"an|ean"', '+"a|"', "+", '"', "#", " ",
+])
+
+
+@given(st.lists(rule_fragments, max_size=24).map("".join))
+def test_parse_rules_raises_only_rule_errors(text):
+    try:
+        rules.parse_rules(text)
+    except rules.RuleError:
+        pass

@@ -194,6 +194,15 @@ def test_loader_reports_positioned_errors(tmp_path):
     assert isinstance(errors[0][1], ConstraintViolationError)
 
 
+def test_loader_errors_hold_no_traceback(tmp_path):
+    # a traceback would hold the loader's frame, and through it the
+    # error list, in a reference cycle
+    path = tmp_path / "bad.svf"
+    path.write_text('VERB M "òl" "òl"\nADJ "kx" "kx"\n', encoding="utf-8")
+    _, errors = svf.load_vocabulary_file(path)
+    assert [(number, error.__traceback__) for number, error in errors] == [(1, None), (2, None)]
+
+
 def test_loader_empty_file(tmp_path):
     path = tmp_path / "empty.svf"
     path.write_text("", encoding="utf-8")
