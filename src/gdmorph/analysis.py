@@ -10,6 +10,7 @@ only by case or by an accent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import orthography
 from .orthography import EXACT, fold_key
@@ -179,7 +180,6 @@ class EndingHistogram:
     """Counts of final letter sequences over a filtered set of parts."""
 
     buckets: dict[str, int]
-    scope: str
 
     @property
     def total(self) -> int:
@@ -207,9 +207,7 @@ def ending_histogram(
             continue
         ending = value.text[-suffix_len:]
         counts[ending] = counts.get(ending, 0) + 1
-    ordered = dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
-    scope = f"{part_field.upper()} with growth >= {min_growth}, last {suffix_len} chars"
-    return EndingHistogram(buckets=ordered, scope=scope)
+    return EndingHistogram(dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))))
 
 
 def count_suffix_pattern(
@@ -259,21 +257,15 @@ def find_near_duplicates(
     case_pairs = []
     accent_pairs = []
     for group in by_casefold.values():
-        for i, j in _pairs(group):
+        for i, j in combinations(group, 2):
             if ordered[i].lemma != ordered[j].lemma:
                 case_pairs.append((ordered[i], ordered[j]))
     for group in by_stripped.values():
-        for i, j in _pairs(group):
+        for i, j in combinations(group, 2):
             a, b = ordered[i].lemma, ordered[j].lemma
             if a != b and a.casefold() != b.casefold():
                 accent_pairs.append((ordered[i], ordered[j]))
     return case_pairs, accent_pairs
-
-
-def _pairs(positions: list[int]):
-    for x in range(len(positions)):
-        for y in range(x + 1, len(positions)):
-            yield positions[x], positions[y]
 
 
 def hapax_report(freq: FrequencyList) -> tuple[int, list[str]]:

@@ -23,6 +23,18 @@ class _Fail(Exception):
         self.code = code
 
 
+def _not_utf8(path) -> str:
+    """Name the file and its first line that is not UTF-8; read only
+    after a load has failed to decode it."""
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"{path}: line {number}: not UTF-8 ({exc.reason})"
+    return f"{path}: not UTF-8"
+
+
 def _load_vocab(args):
     if not args.vocab:
         raise _Fail(2, "this command needs --vocab")
@@ -30,6 +42,8 @@ def _load_vocab(args):
         return lexicon.Vocabulary.from_svf_file(args.vocab, fold_policy=args.fold)
     except OSError as exc:
         raise _Fail(2, f"cannot read vocabulary: {exc}")
+    except UnicodeDecodeError:
+        raise _Fail(2, f"cannot read vocabulary: {_not_utf8(args.vocab)}")
 
 
 def _load_rules(args) -> rules.RuleSet:
@@ -40,6 +54,8 @@ def _load_rules(args) -> rules.RuleSet:
         return rules.default_rules()
     except OSError as exc:
         raise _Fail(2, f"cannot read rules: {exc}")
+    except UnicodeDecodeError:
+        raise _Fail(2, f"cannot read rules: {_not_utf8(path)}")
     except rules.RuleError as exc:
         raise _Fail(2, f"bad rule file: {exc}")
 
@@ -204,11 +220,16 @@ def _load_freq(path: str | None) -> analysis.FrequencyList:
     if path is None:
         raise _Fail(2, "stats {hapax,zipf} needs --freq")
     try:
-        return analysis.load_frequency_list(path)
+        freq = analysis.load_frequency_list(path)
     except OSError as exc:
         raise _Fail(2, f"cannot read frequency list: {exc}")
+    except UnicodeDecodeError:
+        raise _Fail(2, f"cannot read frequency list: {_not_utf8(path)}")
     except analysis.FormatError as exc:
         raise _Fail(2, str(exc))
+    for warning in freq.warnings:
+        print(f"{path}: {warning}", file=sys.stderr)
+    return freq
 
 
 def cmd_coverage(args) -> int:

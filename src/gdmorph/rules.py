@@ -134,18 +134,17 @@ class Selection(NamedTuple):
     it reads (sources), then one per step, a step applying one suffix or
     transform to an earlier value.  forms maps each form code to the
     values of its alternatives, from the first matching rule that
-    defines it; realized lists each such value with its codes and, for a
-    noun, the value of its lenited allomorph (None if the value is
-    already lenited: lenition is idempotent), as lenited_lemma does for
-    the lemma.  matched tells whether any rule matched at all.
+    defines it.  For a noun, allomorphs pairs the lemma and each such
+    value with the value of its lenited allomorph, leaving out values
+    that H/ gave (lenition is idempotent).  matched tells whether any
+    rule matched at all.
     """
 
     matched: bool
     sources: tuple[str, ...]
     steps: tuple[tuple[int, Callable, SuffixAlternation | None], ...]
     forms: dict[str, tuple[int, ...]]
-    realized: tuple[tuple[int, tuple[str, ...], int | None], ...]
-    lenited_lemma: int | None
+    allomorphs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,6 @@ def _plan(pos: str, matched: bool, derivations: dict) -> Selection:
         return steps.setdefault((value, function, suffix), len(sources) + len(steps))
 
     forms = {}
-    realized: dict[int, list[str]] = {}
     for code in codes:
         ends = []
         for derivation in derivations[code]:
@@ -245,20 +243,18 @@ def _plan(pos: str, matched: bool, derivations: dict) -> Selection:
             for name in reversed(derivation.transforms):
                 value = step(value, _TRANSFORMS[name])
             ends.append(value)
-            realized.setdefault(value, []).append(code)
         forms[code] = tuple(ends)
 
-    lenited = {value for (_, function, _), value in steps.items() if function is orthography.lenite}
-
-    def allomorph(value: int) -> int | None:
-        if pos != NOUN or value in lenited:
-            return None
-        return step(value, orthography.lenite)
-
-    # allomorph() may add steps, so the step tuple is taken last
-    ends = tuple((end, tuple(codes), allomorph(end)) for end, codes in realized.items())
-    lenited_lemma = allomorph(sources[LEMMA])
-    return Selection(matched, tuple(sources), tuple(steps), forms, ends, lenited_lemma)
+    allomorphs = ()
+    if pos == NOUN:
+        lenited = {value for (_, function, _), value in steps.items() if function is orthography.lenite}
+        # the lemma first, then each value that some form code ends in
+        values = dict.fromkeys([sources[LEMMA], *(v for ends in forms.values() for v in ends)])
+        allomorphs = tuple(
+            (value, step(value, orthography.lenite)) for value in values if value not in lenited
+        )
+    # the allomorphs add steps, so the step tuple is taken last
+    return Selection(matched, tuple(sources), tuple(steps), forms, allomorphs)
 
 
 def _strip_comment(line: str) -> str:
@@ -488,19 +484,29 @@ def _failures(
     return failures
 
 
-def _evaluate(
-    entry: Entry, selection: Selection, forms: tuple[str, ...]
-) -> tuple[dict[str, list[str]], dict[str, Failure]]:
+@dataclass
+class Paradigm:
+    """Per-form results of declining or conjugating one entry."""
+
+    pos: str
+    cells: dict[str, list[str]] = field(default_factory=dict)
+    errors: dict[str, str] = field(default_factory=dict)
+
+
+def _paradigm(
+    entry: Entry, ruleset: RuleSet, forms: tuple[str, ...]
+) -> tuple[Paradigm, dict[str, Failure]]:
     """The variants of each form code that can be derived, and the
     failure of each one that cannot."""
+    selection = ruleset.select(entry)
     values, _ = _run(entry, selection)
     failures = _failures(entry, selection, values, forms)
-    cells = {}
+    paradigm = Paradigm(entry.pos, errors={form: text for form, (_, text) in failures.items()})
     for form in forms:
         if form not in failures:
             variants = (values[end] for end in selection.forms[form])
-            cells[form] = list(dict.fromkeys(v for v in variants if v is not None))
-    return cells, failures
+            paradigm.cells[form] = list(dict.fromkeys(v for v in variants if v is not None))
+    return paradigm, failures
 
 
 def inflect(entry: Entry, form: str, ruleset: RuleSet) -> list[str]:
@@ -511,33 +517,18 @@ def inflect(entry: Entry, form: str, ruleset: RuleSet) -> list[str]:
     """
     if form not in FORMS_BY_POS.get(entry.pos, ()):
         raise UnknownFormCodeError(f"{form} is not a {entry.pos} form")
-    cells, failures = _evaluate(entry, ruleset.select(entry), (form,))
+    paradigm, failures = _paradigm(entry, ruleset, (form,))
     if failures:
         error, message = failures[form]
         raise error(message)
-    return cells[form]
-
-
-@dataclass
-class Paradigm:
-    """Per-form results of declining or conjugating one entry."""
-
-    pos: str
-    cells: dict[str, list[str]] = field(default_factory=dict)
-    errors: dict[str, str] = field(default_factory=dict)
-
-
-def _fill_paradigm(entry: Entry, ruleset: RuleSet, forms: tuple[str, ...]) -> Paradigm:
-    cells, failures = _evaluate(entry, ruleset.select(entry), forms)
-    errors = {form: message for form, (_, message) in failures.items()}
-    return Paradigm(pos=entry.pos, cells=cells, errors=errors)
+    return paradigm.cells[form]
 
 
 def decline(entry: Entry, ruleset: RuleSet) -> Paradigm:
     """All eight noun case/number cells; failures reported per cell."""
     if entry.pos != NOUN:
         raise ValueError(f"decline needs a noun, got {entry.pos}")
-    return _fill_paradigm(entry, ruleset, NOUN_FORMS)
+    return _paradigm(entry, ruleset, NOUN_FORMS)[0]
 
 
 def conjugate(entry: Entry, ruleset: RuleSet) -> Paradigm:
@@ -548,7 +539,7 @@ def conjugate(entry: Entry, ruleset: RuleSet) -> Paradigm:
         raise IrregularUnsupportedError(
             f"{entry.lemma} is irregular and no special-case rule covers it"
         )
-    return _fill_paradigm(entry, ruleset, VERB_FORMS)
+    return _paradigm(entry, ruleset, VERB_FORMS)[0]
 
 
 def derive_forms(
@@ -570,29 +561,23 @@ def derive_forms(
     if failed or len(selection.forms) < len(pos_forms):
         failures = _failures(entry, selection, values, pos_forms)
     forms: dict[str, set[str]] = {}
-    allomorphs = []  # (surface, value of its lenited form), nouns only
-    for end, realized, lenited in selection.realized:
-        surface = values[end]
-        if surface is None or surface.__class__ is tuple:
+    for code, ends in selection.forms.items():
+        if code in failures:
             continue
-        if failures:
-            realized = [code for code in realized if code not in failures]
-            if not realized:
-                continue
-        known = forms.get(surface)
-        if known is None:
-            forms[surface] = set(realized)
-            if lenited is not None:
-                allomorphs.append((surface, lenited))
-        else:
-            known.update(realized)
+        for end in ends:
+            surface = values[end]
+            if surface is not None:
+                known = forms.get(surface)
+                if known is None:
+                    forms[surface] = {code}
+                else:
+                    known.add(code)
     if entry.lemma not in forms:
         forms[entry.lemma] = {LEMMA}
-        if selection.lenited_lemma is not None:
-            allomorphs.append((entry.lemma, selection.lenited_lemma))
-    for surface, lenited in allomorphs:
-        lenited = values[lenited]
-        if lenited != surface and lenited not in forms:
+    for end, lenited in selection.allomorphs:
+        surface, lenited = values[end], values[lenited]
+        # a failed or non-existent value is no form, and has no allomorph
+        if surface in forms and lenited != surface and lenited not in forms:
             forms[lenited] = set(forms[surface])
     return forms, {code: message for code, (_, message) in failures.items()}
 

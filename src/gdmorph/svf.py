@@ -96,11 +96,6 @@ class Entry(NamedTuple):
     vn: PartValue | None = None
     cp: PartValue | None = None
 
-    def __hash__(self) -> int:
-        # equal entries have equal lemmas; hashing the lemma alone (whose
-        # hash CPython caches) keeps set inserts of (entry, code) cheap
-        return hash(self.lemma)
-
     def __lt__(self, other: Entry) -> bool:
         """Order by SVF record, the last tie-break between homographs."""
         return serialize_entry(self) < serialize_entry(other)
@@ -144,40 +139,35 @@ def validate(entry: Entry) -> list[Violation]:
     return violations
 
 
+# a quoted field, a quote that opens no field, or a bare word; the
+# spaces between tokens are what no alternative matches
+_TOKEN = re.compile(r'"([^"]*)"|(")|([^ ]+)')
+
+
 def _tokenize(line: str) -> list[tuple[bool, str]]:
     """Split a record into (quoted, text) tokens."""
     tokens = []
-    i = 0
-    n = len(line)
-    while i < n:
-        if line[i] == " ":
-            i += 1
-            continue
-        if line[i] == '"':
-            close = line.find('"', i + 1)
-            if close < 0:
-                raise SvfSyntaxError("unterminated quote")
-            tokens.append((True, line[i + 1 : close]))
-            i = close + 1
-            if i < n and line[i] != " ":
+    for match in _TOKEN.finditer(line):
+        quoted, unterminated, word = match.groups()
+        if quoted is not None:
+            if line[match.end() : match.end() + 1] not in ("", " "):
                 raise SvfSyntaxError("missing space after quoted field")
+            tokens.append((True, quoted))
+        elif unterminated is not None:
+            raise SvfSyntaxError("unterminated quote")
+        elif '"' in word:
+            raise SvfSyntaxError(f"stray quote in token {word!r}")
         else:
-            end = i
-            while end < n and line[end] != " ":
-                end += 1
-            word = line[i:end]
-            if '"' in word:
-                raise SvfSyntaxError(f"stray quote in token {word!r}")
             tokens.append((False, word))
-            i = end
     return tokens
 
 
 def _word(text: str, field: str) -> str:
-    word = orthography.canonical(text)
-    if not orthography.is_gaelic_word(word):
+    # tokens are cut from a canonical line at spaces and quotes, which
+    # compose with nothing, so a token is canonical already
+    if not orthography.is_gaelic_word(text):
         raise SvfSyntaxError(f"invalid characters in {field}: {text!r}")
-    return word
+    return text
 
 
 def _part_token(token: tuple[bool, str], field: str) -> PartValue:
@@ -292,9 +282,7 @@ def _parse_tokens(line: str) -> Entry:
 
 
 def _part_text(value: PartValue) -> str:
-    if value.is_present:
-        return f'"{value.text}"'
-    return "?" if value.is_unknown else "-"
+    return f'"{value}"' if value.is_present else str(value)
 
 
 def serialize_entry(entry: Entry) -> str:

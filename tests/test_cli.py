@@ -338,3 +338,37 @@ def test_bad_selector_in_rule_file_exits_2(capsys, tmp_path):
     custom.write_text("* VERB & M\nVN: VN\n", encoding="utf-8")
     code, _, err = run(capsys, "--vocab", VOCAB, "--rules", str(custom), "inflect", "òl", "VN")
     assert code == 2 and "bad rule file: line 1" in err
+
+
+# a Latin-1 "à" or "ù" is one byte that no UTF-8 sequence starts with
+def test_non_utf8_vocabulary_exits_2_naming_file_and_line(capsys, tmp_path):
+    vocab = tmp_path / "latin1.svf"
+    vocab.write_bytes(b'VERB "\xc3\xb2l" "\xc3\xb2l"\nNOUN M "c\xe0t" ? ?\n')
+    code, out, err = run(capsys, "--vocab", str(vocab), "validate")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read vocabulary: {vocab}: line 2: not UTF-8")
+
+
+def test_non_utf8_rule_file_exits_2_naming_file_and_line(capsys, tmp_path):
+    custom = tmp_path / "latin1.grl"
+    custom.write_bytes(b"* VERB\nVN: VN # c\xf9\n")
+    code, out, err = run(capsys, "--vocab", VOCAB, "--rules", str(custom), "conjugate", "òl")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read rules: {custom}: line 2: not UTF-8")
+
+
+def test_non_utf8_frequency_list_exits_2_naming_file_and_line(capsys, tmp_path):
+    freq = tmp_path / "latin1.tsv"
+    freq.write_bytes(b"1\tcat\t10\n2\tc\xf9\t3\n")
+    code, out, err = run(capsys, "stats", "hapax", "--freq", str(freq))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read frequency list: {freq}: line 2: not UTF-8")
+
+
+def test_dropped_frequency_row_is_reported_on_stderr(capsys, tmp_path):
+    freq = tmp_path / "f.tsv"
+    freq.write_text("1\tcat\t10\n2\tcù\tx\n3\tbàta\t5\n", encoding="utf-8")
+    code, out, err = run(capsys, "--vocab", VOCAB, "--format", "tsv", "coverage", str(freq))
+    assert code == 0
+    assert "total_types\t2\n" in out
+    assert err == f"{freq}: line 2: unparsable row '2\\tcù\\tx'\n"

@@ -1,12 +1,13 @@
 """Properties of the orthography primitives and the parsers on generated
 input.
 
-`is_gaelic_word` is checked against the per-character definition it
-replaced, kept here as the reference.  The SVF reader's one-pattern path
-is checked against its tokenizer path, which reads every line.
+`is_gaelic_word` and the SVF tokenizer are checked against the
+per-character definitions they replaced, kept here as references.  The
+SVF reader's one-pattern path is checked against its tokenizer path,
+which reads every line.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gdmorph import orthography, rules, svf
@@ -72,6 +73,13 @@ def test_serialize_then_parse_round_trips(entry):
     assert parse_svf_line(serialize_entry(entry)) == entry
 
 
+@given(entries())
+def test_entry_hashes_and_compares_as_its_plain_tuple(entry):
+    plain = tuple(entry)
+    assert hash(entry) == hash(plain)
+    assert len({entry, plain}) == 1 and plain in {entry}
+
+
 @given(st.text(alphabet=GAELIC + "'- ", max_size=10))
 def test_lenite_is_idempotent(word):
     once = orthography.lenite(word)
@@ -126,6 +134,48 @@ def record_lines(draw):
     return draw(edge) + line + draw(edge)
 
 
+def reference_tokenize(line: str) -> list[tuple[bool, str]]:
+    """The per-character scanner the tokenizer's pattern replaced."""
+    tokens = []
+    i = 0
+    n = len(line)
+    while i < n:
+        if line[i] == " ":
+            i += 1
+            continue
+        if line[i] == '"':
+            close = line.find('"', i + 1)
+            if close < 0:
+                raise svf.SvfSyntaxError("unterminated quote")
+            tokens.append((True, line[i + 1 : close]))
+            i = close + 1
+            if i < n and line[i] != " ":
+                raise svf.SvfSyntaxError("missing space after quoted field")
+        else:
+            end = i
+            while end < n and line[end] != " ":
+                end += 1
+            word = line[i:end]
+            if '"' in word:
+                raise svf.SvfSyntaxError(f"stray quote in token {word!r}")
+            tokens.append((False, word))
+            i = end
+    return tokens
+
+
+def _tokens_or_error(tokenize, line):
+    try:
+        return tokenize(line)
+    except SvfError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500)
+@given(st.one_of(record_lines(), st.text(alphabet=' "\tabcò', max_size=16)))
+def test_tokenizer_matches_reference_scanner(line):
+    assert _tokens_or_error(svf._tokenize, line) == _tokens_or_error(reference_tokenize, line)
+
+
 def _parse_outcome(parse, line):
     try:
         entry = parse(line)
@@ -159,3 +209,22 @@ def test_parse_rules_raises_only_rule_errors(text):
         rules.parse_rules(text)
     except rules.RuleError:
         pass
+
+
+BUNDLED_SUFFIXES = sorted({
+    derivation.suffix
+    for rule in rules.default_rules().rules
+    for alternatives in rule.derivations.values()
+    for derivation in alternatives
+    if derivation.suffix is not None
+}, key=str)
+
+
+@given(
+    st.text(alphabet=GAELIC + "'-", min_size=1, max_size=12),
+    st.sampled_from(BUNDLED_SUFFIXES),
+)
+def test_regular_suffix_keeps_vowel_harmony(stem, suffix):
+    assume(any(orthography.is_vowel(ch) for ch in stem))
+    assume(orthography.satisfies_vowel_harmony(stem))
+    assert orthography.satisfies_vowel_harmony(orthography.attach_suffix(stem, suffix))
