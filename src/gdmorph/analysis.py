@@ -14,7 +14,7 @@ from itertools import combinations
 
 from . import orthography
 from .orthography import EXACT, fold_key
-from .svf import Entry
+from .svf import PART_FIELDS, Entry
 
 
 class FormatError(ValueError):
@@ -44,17 +44,19 @@ class FrequencyList:
         return len(self.rows)
 
 
-def load_frequency_list(path, delimiter: str | None = None) -> FrequencyList:
+def load_frequency_list(path) -> FrequencyList:
     """Load a delimited rank/lexeme/count list (UTF-8, BOM or not).
 
     Accepts three-column rank,lexeme,count rows or two-column
     lexeme,count rows (ranks assigned by position).  The delimiter is
-    tab or comma, sniffed from the first data line when not given.  An
-    optional header row and malformed rows are reported as warnings, not
-    errors; lexemes are kept as found, dirty or not.
+    tab or comma, sniffed from the first data line.  An optional header
+    row is skipped; malformed rows, ranks out of order and counts above
+    the previous row's are reported as warnings that name their line,
+    not as errors.  Lexemes are kept as found, dirty or not.
     """
     rows: list[tuple[int, str, int]] = []
     warnings: list[str] = []
+    delimiter = None
     with open(path, encoding="utf-8-sig") as handle:
         for number, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n").strip()
@@ -69,10 +71,20 @@ def load_frequency_list(path, delimiter: str | None = None) -> FrequencyList:
                     continue  # header row
                 warnings.append(f"line {number}: unparsable row {line!r}")
                 continue
+            if rows:
+                rank, _, count = parsed
+                last_rank, _, last_count = rows[-1]
+                if rank <= last_rank:
+                    warnings.append(
+                        f"line {number}: rank {rank} out of order after rank {last_rank}"
+                    )
+                if count > last_count:
+                    warnings.append(
+                        f"line {number}: count {count} at rank {rank} exceeds the previous rank"
+                    )
             rows.append(parsed)
     if not rows:
         raise FormatError(f"no parsable rows in {path}")
-    _check_monotonic(rows, warnings)
     return FrequencyList(rows=rows, warnings=warnings)
 
 
@@ -85,18 +97,6 @@ def _parse_row(cells: list[str], next_rank: int) -> tuple[int, str, int] | None:
     except ValueError:
         return None
     return None
-
-
-def _check_monotonic(rows, warnings) -> None:
-    for i in range(1, len(rows)):
-        if rows[i][0] <= rows[i - 1][0]:
-            warnings.append(
-                f"rank {rows[i][0]} out of order after rank {rows[i - 1][0]}"
-            )
-        if rows[i][2] > rows[i - 1][2]:
-            warnings.append(
-                f"count {rows[i][2]} at rank {rows[i][0]} exceeds the previous rank"
-            )
 
 
 @dataclass
@@ -118,16 +118,12 @@ class CoverageReport:
         return self.matched_tokens / self.total_tokens if self.total_tokens else 0.0
 
 
-def coverage(
-    freq: FrequencyList,
-    lexicon_keys: set[str],
-    fold: str = EXACT,
-    top_unmatched: int = 10,
-) -> CoverageReport:
+def coverage(freq: FrequencyList, lexicon_keys: set[str], fold: str = EXACT) -> CoverageReport:
     """Match each listed lexeme against the key set under folding.
 
     Pass a vocabulary's lemma set for lemma-only coverage, or an
-    all-forms index's key set to count inflected matches as well.
+    all-forms index's key set to count inflected matches as well.  The
+    report keeps the ten most frequent lexemes left unmatched.
     """
     folded_keys = {fold_key(key, fold) for key in lexicon_keys}
     matched_types = 0
@@ -145,7 +141,7 @@ def coverage(
         total_types=len(freq.rows),
         matched_tokens=matched_tokens,
         total_tokens=freq.total_tokens,
-        unmatched_top=unmatched[:top_unmatched],
+        unmatched_top=unmatched[:10],
     )
 
 
@@ -166,11 +162,8 @@ def cumulative_coverage_curve(
     return points
 
 
-_PART_FIELDS = ("np", "gs", "vn", "cp")
-
-
 def _selected_part(entry: Entry, part_field: str):
-    if part_field not in _PART_FIELDS:
+    if part_field not in PART_FIELDS:
         raise ValueError(f"unknown principal part selector: {part_field!r}")
     return getattr(entry, part_field)
 

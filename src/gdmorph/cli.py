@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from . import analysis, export, lexicon, orthography, rules, svf
 
@@ -35,27 +36,28 @@ def _not_utf8(path) -> str:
     return f"{path}: not UTF-8"
 
 
+def _read(kind: str, load, path):
+    """load(path); a file that cannot be read or decoded exits 2."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise _Fail(2, f"cannot read {kind}: {exc}")
+    except UnicodeDecodeError:
+        raise _Fail(2, f"cannot read {kind}: {_not_utf8(path)}")
+
+
 def _load_vocab(args):
     if not args.vocab:
         raise _Fail(2, "this command needs --vocab")
-    try:
-        return lexicon.Vocabulary.from_svf_file(args.vocab, fold_policy=args.fold)
-    except OSError as exc:
-        raise _Fail(2, f"cannot read vocabulary: {exc}")
-    except UnicodeDecodeError:
-        raise _Fail(2, f"cannot read vocabulary: {_not_utf8(args.vocab)}")
+    load = partial(lexicon.Vocabulary.from_svf_file, fold_policy=args.fold)
+    return _read("vocabulary", load, args.vocab)
 
 
 def _load_rules(args) -> rules.RuleSet:
     path = args.rules or os.environ.get(ENV_RULES)
+    load = rules.load_rules if path else lambda _: rules.default_rules()
     try:
-        if path:
-            return rules.load_rules(path)
-        return rules.default_rules()
-    except OSError as exc:
-        raise _Fail(2, f"cannot read rules: {exc}")
-    except UnicodeDecodeError:
-        raise _Fail(2, f"cannot read rules: {_not_utf8(path)}")
+        return _read("rules", load, path)
     except rules.RuleError as exc:
         raise _Fail(2, f"bad rule file: {exc}")
 
@@ -116,7 +118,7 @@ def cmd_validate(args) -> int:
         totals[entry.pos] = totals.get(entry.pos, 0) + 1
         irregular += entry.irregular
         incomplete = False
-        for name in ("np", "gs", "vn", "cp"):
+        for name in svf.PART_FIELDS:
             value = getattr(entry, name)
             if value is None:
                 continue
@@ -131,7 +133,7 @@ def cmd_validate(args) -> int:
     for pos in svf.PARTS_OF_SPEECH:
         pairs.append((pos.lower() + "s", str(totals.get(pos, 0))))
     pairs.append(("irregular", str(irregular)))
-    for name in ("np", "gs", "vn", "cp"):
+    for name in svf.PART_FIELDS:
         pairs.append((
             f"{name} unknown/non-existent",
             f"{unknown.get(name, 0)}/{non_existent.get(name, 0)}",
@@ -163,10 +165,7 @@ def cmd_inflect(args) -> int:
     for entry in entries:
         if form not in rules.FORMS_BY_POS.get(entry.pos, ()):
             continue
-        try:
-            variants = rules.inflect(entry, form, ruleset)
-        except orthography.MorphologyError as exc:
-            raise _Fail(1, str(exc))
+        variants = rules.inflect(entry, form, ruleset)
         print(" ".join(variants) if variants else export.MISSING_CELL)
         printed = True
     if not printed:
@@ -182,10 +181,7 @@ def _paradigms(args, pos: str, paradigm_of, layout: str) -> int:
         raise _Fail(1, f"no {pos.lower()} entry for {args.lemma}")
     style = export.DELIMITED if args.format == "tsv" else export.ASCII
     for entry in entries:
-        try:
-            paradigm = paradigm_of(entry, ruleset)
-        except rules.IrregularUnsupportedError as exc:
-            raise _Fail(1, str(exc))
+        paradigm = paradigm_of(entry, ruleset)
         print(export.render_paradigm(entry.lemma, paradigm.cells, layout, style=style), end="")
         for code, message in sorted(paradigm.errors.items()):
             print(f"{code}: {message}", file=sys.stderr)
@@ -220,11 +216,7 @@ def _load_freq(path: str | None) -> analysis.FrequencyList:
     if path is None:
         raise _Fail(2, "stats {hapax,zipf} needs --freq")
     try:
-        freq = analysis.load_frequency_list(path)
-    except OSError as exc:
-        raise _Fail(2, f"cannot read frequency list: {exc}")
-    except UnicodeDecodeError:
-        raise _Fail(2, f"cannot read frequency list: {_not_utf8(path)}")
+        freq = _read("frequency list", analysis.load_frequency_list, path)
     except analysis.FormatError as exc:
         raise _Fail(2, str(exc))
     for warning in freq.warnings:
@@ -400,6 +392,9 @@ def main(argv=None) -> int:
     except _Fail as failure:
         print(str(failure), file=sys.stderr)
         return failure.code
+    except orthography.MorphologyError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
 
 
 def run() -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rules
-from .svf import ADJ, NOUN, VERB, Entry, PartValue
+from .svf import ADJ, NOUN, VERB
 
 ASCII = "ascii"
 DELIMITED = "delimited"
@@ -37,34 +37,36 @@ class LayoutMismatchError(ValueError):
     """Paradigm cells passed to a layout of a different part of speech."""
 
 
+# per dialect: the ID, POS and GR columns, the only ones whose types differ
+_DIALECT_COLUMNS = {
+    MYSQL: (
+        "ID INT PRIMARY KEY AUTO_INCREMENT",
+        "POS ENUM ('NOUN', 'VERB', 'ADJ') NOT NULL",
+        "GR ENUM ('M', 'F')",
+    ),
+    PORTABLE: (
+        "ID INTEGER PRIMARY KEY",
+        "POS VARCHAR(4) NOT NULL CHECK (POS IN ('NOUN', 'VERB', 'ADJ'))",
+        "GR VARCHAR(1) CHECK (GR IN ('M', 'F'))",
+    ),
+}
+
+_PART_COLUMNS = ("NP", "GS", "CP", "VN")
+
+
 def emit_ddl(dialect: str = MYSQL) -> str:
     """CREATE TABLE statement for the principal-parts table Facal."""
-    if dialect == MYSQL:
-        columns = [
-            "ID INT PRIMARY KEY AUTO_INCREMENT",
-            "Lemma VARCHAR(35) NOT NULL",
-            "IRREG BOOL DEFAULT FALSE",
-            "POS ENUM ('NOUN', 'VERB', 'ADJ') NOT NULL",
-            "GR ENUM ('M', 'F')",
-            "NP VARCHAR(35)",
-            "GS VARCHAR(35)",
-            "CP VARCHAR(35)",
-            "VN VARCHAR(35)",
-        ]
-    elif dialect == PORTABLE:
-        columns = [
-            "ID INTEGER PRIMARY KEY",
-            "Lemma VARCHAR(35) NOT NULL",
-            "IRREG BOOL DEFAULT FALSE",
-            "POS VARCHAR(4) NOT NULL CHECK (POS IN ('NOUN', 'VERB', 'ADJ'))",
-            "GR VARCHAR(1) CHECK (GR IN ('M', 'F'))",
-            "NP VARCHAR(35)",
-            "GS VARCHAR(35)",
-            "CP VARCHAR(35)",
-            "VN VARCHAR(35)",
-        ]
-    else:
+    if dialect not in _DIALECT_COLUMNS:
         raise ValueError(f"unknown dialect: {dialect!r}")
+    id_column, pos_column, gender_column = _DIALECT_COLUMNS[dialect]
+    columns = [
+        id_column,
+        "Lemma VARCHAR(35) NOT NULL",
+        "IRREG BOOL DEFAULT FALSE",
+        pos_column,
+        gender_column,
+        *(f"{column} VARCHAR(35)" for column in _PART_COLUMNS),
+    ]
     body = ",\n".join("    " + column for column in columns)
     constraint = "\n".join("    " + line for line in CHECK_CONSTRAINT.splitlines())
     return f"CREATE TABLE Facal(\n{body},\n{constraint}\n);\n"
@@ -74,13 +76,7 @@ def _sql_string(text: str) -> str:
     return "'" + text.replace("'", "''") + "'"
 
 
-def _sql_part(value: PartValue | None) -> str:
-    if value is None or not value.is_present:
-        return "NULL"
-    return _sql_string(value.text)
-
-
-_INSERT_COLUMNS = "Lemma, IRREG, POS, GR, NP, GS, CP, VN"
+_INSERT_COLUMNS = ", ".join(("Lemma", "IRREG", "POS", "GR") + _PART_COLUMNS)
 
 
 def emit_inserts(entries) -> str:
@@ -93,46 +89,33 @@ def emit_inserts(entries) -> str:
     """
     lines = ["-- Facal principal-parts data"]
     for entry in entries:
-        overlong = [
-            name
-            for name, text in _texts(entry)
-            if text is not None and len(text) > 35
+        values = [
+            _sql_string(entry.lemma),
+            "TRUE" if entry.irregular else "FALSE",
+            _sql_string(entry.pos),
+            _sql_string(entry.gender) if entry.gender else "NULL",
         ]
+        overlong = ["Lemma"] if len(entry.lemma) > 35 else []
+        missing = []
+        for column in _PART_COLUMNS:
+            value = getattr(entry, column.lower())
+            if value is not None and value.is_present:
+                values.append(_sql_string(value.text))
+                if len(value.text) > 35:
+                    overlong.append(column)
+            else:
+                values.append("NULL")
+                if value is not None and value.is_non_existent:
+                    missing.append(column)
         if overlong:
             lines.append(
                 f"-- warning: value longer than 35 characters in {', '.join(overlong)}"
             )
-        values = ", ".join(
-            [
-                _sql_string(entry.lemma),
-                "TRUE" if entry.irregular else "FALSE",
-                _sql_string(entry.pos),
-                _sql_string(entry.gender) if entry.gender else "NULL",
-                _sql_part(entry.np),
-                _sql_part(entry.gs),
-                _sql_part(entry.cp),
-                _sql_part(entry.vn),
-            ]
-        )
-        note = ""
-        missing = [
-            name.upper()
-            for name in ("np", "gs", "cp", "vn")
-            if getattr(entry, name) is not None and getattr(entry, name).is_non_existent
-        ]
-        if missing:
-            note = f" -- non-existent: {', '.join(missing)}"
+        note = f" -- non-existent: {', '.join(missing)}" if missing else ""
         lines.append(
-            f"INSERT INTO Facal ({_INSERT_COLUMNS}) VALUES ({values});{note}"
+            f"INSERT INTO Facal ({_INSERT_COLUMNS}) VALUES ({', '.join(values)});{note}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _texts(entry: Entry):
-    yield "Lemma", entry.lemma
-    for name in ("np", "gs", "cp", "vn"):
-        value = getattr(entry, name)
-        yield name.upper(), value.text if value is not None and value.is_present else None
 
 
 @dataclass

@@ -71,13 +71,10 @@ FORMS_BY_POS = {NOUN: NOUN_FORMS, VERB: VERB_FORMS, ADJ: ADJ_FORMS}
 
 LEMMA = "LEMMA"
 _SOURCES_BY_POS = {
-    NOUN: (LEMMA, "NS", "NP", "GS"),
+    NOUN: (LEMMA, "NP", "GS"),
     VERB: (LEMMA, "VN"),
     ADJ: (LEMMA, "CP"),
 }
-
-# principal-part source -> Entry field holding it
-_PART_FIELDS = {"NP": "np", "GS": "gs", "VN": "vn", "CP": "cp"}
 
 _TRANSFORMS = {
     "H": orthography.lenite,
@@ -120,7 +117,6 @@ class IrregularUnsupportedError(RuleError):
 class Derivation:
     """One way to realize a form: transforms over a (suffixed) source."""
 
-    target: str
     source: str
     suffix: SuffixAlternation | None = None
     transforms: tuple[str, ...] = ()
@@ -359,7 +355,7 @@ def _parse_expression(text: str, target: str, pos: str, number: int) -> Derivati
         raise RuleSyntaxError(
             f"line {number}: source {source!r} is not available for {pos}"
         )
-    return Derivation(target=target, source=source, suffix=suffix, transforms=transforms)
+    return Derivation(source=source, suffix=suffix, transforms=transforms)
 
 
 def parse_rules(text: str) -> RuleSet:
@@ -427,8 +423,7 @@ def _resolve(entry: Entry, source: str) -> str | None | Failure:
     """Principal-part text; None when the part is marked non-existent."""
     if source == LEMMA:
         return entry.lemma
-    field_name = _PART_FIELDS.get(source)
-    value = getattr(entry, field_name) if field_name else None
+    value = getattr(entry, source.lower(), None)
     if value is None:
         return MissingPrincipalPartError, f"{entry.lemma}: entry has no {source} part"
     if value.is_present:
@@ -488,7 +483,6 @@ def _failures(
 class Paradigm:
     """Per-form results of declining or conjugating one entry."""
 
-    pos: str
     cells: dict[str, list[str]] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
 
@@ -501,7 +495,7 @@ def _paradigm(
     selection = ruleset.select(entry)
     values, _ = _run(entry, selection)
     failures = _failures(entry, selection, values, forms)
-    paradigm = Paradigm(entry.pos, errors={form: text for form, (_, text) in failures.items()})
+    paradigm = Paradigm(errors={form: text for form, (_, text) in failures.items()})
     for form in forms:
         if form not in failures:
             variants = (values[end] for end in selection.forms[form])

@@ -101,6 +101,10 @@ class Entry(NamedTuple):
         return serialize_entry(self) < serialize_entry(other)
 
 
+# the Entry fields that hold principal parts
+PART_FIELDS = Entry._fields[4:]
+
+
 class Violation(NamedTuple):
     """One failed integrity clause, naming the offending field."""
 

@@ -1,7 +1,8 @@
+import argparse
 import sqlite3
 from pathlib import Path
 
-from gdmorph.cli import main
+from gdmorph.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -372,3 +373,67 @@ def test_dropped_frequency_row_is_reported_on_stderr(capsys, tmp_path):
     assert code == 0
     assert "total_types\t2\n" in out
     assert err == f"{freq}: line 2: unparsable row '2\\tcù\\tx'\n"
+
+
+def test_ordering_warnings_name_their_line(capsys, tmp_path):
+    freq = tmp_path / "f.tsv"
+    freq.write_text("1\tcat\t10\n3\tcù\t12\n2\tbàta\t5\n", encoding="utf-8")
+    code, out, err = run(capsys, "stats", "hapax", "--freq", str(freq))
+    assert (code, out) == (0, "hapax\t0\n")
+    assert err == (
+        f"{freq}: line 2: count 12 at rank 3 exceeds the previous rank\n"
+        f"{freq}: line 3: rank 2 out of order after rank 3\n"
+    )
+
+
+HELP = {("-h", "--help"): (None, argparse.SUPPRESS)}
+# per parser: {option strings: (choices, default)}, [(positional, choices)]
+OPTION_SURFACE = {
+    "gdmorph": (
+        {
+            **HELP,
+            ("--vocab",): (None, None),
+            ("--rules",): (None, None),
+            ("--fold",): (["exact", "accents", "accents-case"], "accents"),
+            ("--format",): (["table", "tsv"], "table"),
+            ("--accent-mode",): (["fold", "strip", "none"], "none"),
+        },
+        [("command", ["validate", "inflect", "decline", "conjugate", "expand",
+                      "recognize", "coverage", "stats", "export"])],
+    ),
+    "validate": (HELP, []),
+    "inflect": (HELP, [("lemma", None), ("form", None)]),
+    "decline": (HELP, [("lemma", None)]),
+    "conjugate": (HELP, [("lemma", None)]),
+    "expand": ({**HELP, ("-o", "--out"): (None, None)}, []),
+    "recognize": (HELP, [("word", None)]),
+    "coverage": ({**HELP, ("--mode",): (["lemmas", "allforms"], "lemmas")}, [("freq", None)]),
+    "stats": (
+        {**HELP, ("--freq",): (None, None), ("--k",): (None, 15)},
+        [("which", ["plural-an", "vn-endings", "dedup", "hapax", "zipf"])],
+    ),
+    "export": (
+        {**HELP, ("-o", "--out"): (None, None), ("--dialect",): (["mysql", "portable"], "mysql")},
+        [("kind", ["ddl", "inserts"])],
+    ),
+}
+
+
+def _surface(parser):
+    options, positionals = {}, []
+    for action in parser._actions:
+        choices = None if action.choices is None else list(action.choices)
+        if action.option_strings:
+            options[tuple(action.option_strings)] = (choices, action.default)
+        else:
+            positionals.append((action.dest, choices))
+    return options, positionals
+
+
+def test_option_surface_is_pinned():
+    parser = build_parser()
+    found = {"gdmorph": _surface(parser)}
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        found[name] = _surface(sub)
+    assert found == OPTION_SURFACE

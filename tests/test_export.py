@@ -1,9 +1,12 @@
 import re
 import sqlite3
+from contextlib import closing
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gdmorph import export, rules
+from gdmorph import analysis, export, orthography, rules
 from gdmorph.export import (
     LayoutMismatchError,
     TableRenderSpec,
@@ -11,7 +14,7 @@ from gdmorph.export import (
     emit_inserts,
     render_paradigm,
 )
-from gdmorph.svf import NON_EXISTENT, UNKNOWN, Entry, parse_svf_line, part
+from gdmorph.svf import ADJ, NOUN, NON_EXISTENT, UNKNOWN, VERB, Entry, parse_svf_line, part
 
 CONJUNCTS = [
     "(GR IS NULL AND",
@@ -211,3 +214,65 @@ def test_table_spec_rejects_ragged_rows():
     spec = TableRenderSpec(columns=["a", "b"], rows=[["1"]])
     with pytest.raises(LayoutMismatchError):
         spec.render()
+
+
+# endings that do and do not count, in both cases and with an accent:
+# SQL LIKE would fold the ASCII case of "AN" or "ADH", substr does not
+SUFFIXES = ["", "n", "an", "ean", "tan", "AN", "EAN", "àn", "adh", "ADH", "eadh", "achadh", "aidh"]
+lemmas = st.text(alphabet="abcdeghilnorstuàòAÒ'", min_size=1, max_size=6).filter(
+    orthography.is_gaelic_word
+)
+
+
+MARKERS = [UNKNOWN, NON_EXISTENT]
+
+
+def grown(lemma):
+    """The lemma plus one of the suffixes, or an unknown or non-existent part."""
+    return st.sampled_from(MARKERS + SUFFIXES).map(
+        lambda suffix: suffix if suffix in MARKERS else part(lemma + suffix)
+    )
+
+
+@st.composite
+def vocabularies(draw):
+    entries = []
+    for lemma in draw(st.lists(lemmas, min_size=1, max_size=25)):
+        pos = draw(st.sampled_from([NOUN, VERB, ADJ]))
+        irregular = draw(st.booleans())
+        if pos == NOUN:
+            gender = draw(st.sampled_from("MF"))
+            np, gs = draw(grown(lemma)), draw(grown(lemma))
+            entries.append(Entry(lemma, NOUN, irregular, gender, np, gs))
+        elif pos == VERB:
+            entries.append(Entry(lemma, VERB, irregular, vn=draw(grown(lemma))))
+        else:
+            entries.append(Entry(lemma, ADJ, irregular, cp=draw(grown(lemma))))
+    return entries
+
+
+@given(vocabularies())
+def test_pattern_statistics_match_sql_over_the_export(entries):
+    """stats plural-an and vn-endings count what a query over the
+    exported table counts."""
+    with closing(sqlite3.connect(":memory:")) as connection:
+        connection.executescript(emit_ddl(dialect=export.PORTABLE))
+        connection.executescript(emit_inserts(entries))
+        counts = [
+            connection.execute(
+                "SELECT COUNT(*) FROM Facal WHERE POS = 'NOUN' AND substr(NP, -2) = 'an'"
+                f" AND length(NP) - length(Lemma) {growth}"
+            ).fetchone()[0]
+            for growth in (">= 2", "= 2")
+        ]
+        endings = connection.execute(
+            "SELECT substr(VN, -3) AS e, COUNT(*) AS n FROM Facal"
+            " WHERE length(VN) - length(Lemma) >= 3 GROUP BY e ORDER BY n DESC, e"
+        ).fetchall()
+    nouns = [e for e in entries if e.pos == NOUN]
+    assert counts == [
+        analysis.count_suffix_pattern(nouns, "np", "an", min_extra=2, exact=exact)
+        for exact in (False, True)
+    ]
+    histogram = analysis.ending_histogram(entries, "vn", suffix_len=3, min_growth=3)
+    assert list(histogram.buckets.items()) == endings
