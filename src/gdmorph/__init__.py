@@ -20,7 +20,14 @@ from .analysis import (
     load_frequency_list,
 )
 from .export import emit_ddl, emit_inserts, render_paradigm
-from .lexicon import AllFormsIndex, Vocabulary, build_all_forms, recognize
+from .lexicon import (
+    AllFormsIndex,
+    Vocabulary,
+    build_all_forms,
+    candidates,
+    recognize,
+    surface_forms,
+)
 from .orthography import (
     SuffixAlternation,
     attach_suffix,

@@ -26,14 +26,19 @@ class _Fail(Exception):
 
 def _not_utf8(path) -> str:
     """Name the file and its first line that is not UTF-8; read only
-    after a load has failed to decode it."""
-    with open(path, "rb") as handle:
+    after a load has failed to decode it.  path is a file name or the
+    bundled rule file, a package resource."""
+    if isinstance(path, str):
+        name, handle = path, open(path, "rb")
+    else:
+        name, handle = f"{__package__}/data/{path.name}", path.open("rb")
+    with handle:
         for number, raw in enumerate(handle, start=1):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                return f"{path}: line {number}: not UTF-8 ({exc.reason})"
-    return f"{path}: not UTF-8"
+                return f"{name}: line {number}: not UTF-8 ({exc.reason})"
+    return f"{name}: not UTF-8"
 
 
 def _read(kind: str, load, path):
@@ -55,7 +60,9 @@ def _load_vocab(args):
 
 def _load_rules(args) -> rules.RuleSet:
     path = args.rules or os.environ.get(ENV_RULES)
-    load = rules.load_rules if path else lambda _: rules.default_rules()
+    load = rules.load_rules
+    if not path:
+        path, load = rules.bundled_rules_file(), lambda _: rules.default_rules()
     try:
         return _read("rules", load, path)
     except rules.RuleError as exc:
@@ -191,20 +198,22 @@ def _paradigms(args, pos: str, paradigm_of, layout: str) -> int:
 def cmd_expand(args) -> int:
     vocab, _ = _load_vocab(args)
     ruleset = _load_rules(args)
-    index = lexicon.build_all_forms(vocab, ruleset)
-    forms = sorted(index.forms())
+    forms = sorted(lexicon.surface_forms(vocab, ruleset))
     text = "".join(form + "\n" for form in forms)
     _write_out(args.out, text)
     if args.out and args.out != "-":
-        print(f"{index.distinct_form_count} forms from {len(vocab)} entries")
+        print(f"{len(forms)} forms from {len(vocab)} entries")
     return 0
 
 
 def cmd_recognize(args) -> int:
     vocab, _ = _load_vocab(args)
     ruleset = _load_rules(args)
-    index = lexicon.build_all_forms(vocab, ruleset)
-    analyses = lexicon.recognize(index, _query_word(args, args.word))
+    word = _query_word(args, args.word)
+    # the word's candidate entries give it the analyses the whole vocabulary would
+    entries = lexicon.candidates(vocab, ruleset, word)
+    index = lexicon.build_all_forms(lexicon.Vocabulary(entries, fold_policy=args.fold), ruleset)
+    analyses = lexicon.recognize(index, word)
     if not analyses:
         raise _Fail(1, f"unrecognized: {args.word}")
     for entry, code in analyses:
@@ -230,8 +239,7 @@ def cmd_coverage(args) -> int:
     if args.mode == "lemmas":
         keys = vocab.lemma_set
     else:
-        index = lexicon.build_all_forms(vocab, _load_rules(args))
-        keys = index.forms()
+        keys = lexicon.surface_forms(vocab, _load_rules(args))
     report = analysis.coverage(freq, keys, fold=args.fold)
     unmatched = ", ".join(f"{lex} ({count})" for lex, count in report.unmatched_top)
     _report(args, [

@@ -4,7 +4,8 @@ A Vocabulary indexes entries by lemma under a folding policy (exact,
 accent-insensitive, or accent- and case-insensitive), since real texts
 mix mòr, mór and mor.  An AllFormsIndex expands every entry to its full
 set of surface forms so that inflected words in running text can be
-traced back to their lemma and grammatical form.
+traced back to their lemma and grammatical form.  To answer one word,
+an index over the word's candidate entries is enough.
 """
 
 from __future__ import annotations
@@ -108,6 +109,72 @@ def build_all_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> AllFormsIndex:
                 analyses = form_index[surface] = set()
             analyses.update([(entry, code) for code in codes])
     return index
+
+
+def surface_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> set[str]:
+    """Every surface form of the vocabulary: the spellings that
+    build_all_forms indexes, without their analyses."""
+    forms: set[str] = set()
+    for entry in vocabulary:
+        forms.update(rules.derive_forms(entry, ruleset)[0])
+    return forms
+
+
+def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> list[Entry]:
+    """The entries, in vocabulary order, that could have a surface form
+    equal to the word, with or without its prothetic prefix, under the
+    vocabulary's fold policy.  An index built over them alone gives
+    recognize the same analyses of the word as the whole vocabulary's.
+
+    Every surface is the lemma or a principal part with a suffix
+    alternant attached, then lenited or given the dh' prefix, or the
+    lenited allomorph of such a form.  Folding maps each character on
+    its own, so undoing those steps on the folded word, and again on
+    each result, reaches the folded text of the part a surface came
+    from.  SL/ has no such inverse: a rule set that uses it gives every
+    entry.
+    """
+    derivations = [
+        derivation
+        for rule in ruleset.rules
+        for alternatives in rule.derivations.values()
+        for derivation in alternatives
+    ]
+    if any("SL" in derivation.transforms for derivation in derivations):
+        return list(vocabulary.entries)
+    policy = vocabulary.fold_policy
+    endings = set()
+    for derivation in derivations:
+        if derivation.suffix is not None:
+            for alternant in (derivation.suffix.broad, derivation.suffix.slender):
+                endings.add(fold_key(alternant, policy))
+                if orthography.is_vowel(alternant[0]):
+                    # attach_suffix writes a vowel doubled at the boundary once
+                    endings.add(fold_key(alternant[1:], policy))
+    endings.discard("")
+    query = orthography.canonical(word)
+    stems: set[str] = set()
+    todo = [fold_key(query, policy), fold_key(orthography.strip_prothesis(query), policy)]
+    while todo:
+        stem = todo.pop()
+        if stem in stems:
+            continue
+        stems.add(stem)
+        if stem.startswith("dh'"):
+            todo.append(stem[3:])
+        if stem[1:2] in ("h", "H"):
+            todo.append(stem[:1] + stem[2:])
+        todo += [stem[: -len(ending)] for ending in endings if stem.endswith(ending)]
+    found = []
+    for entry in vocabulary:
+        texts = [entry.lemma]
+        for name in svf.PART_FIELDS:
+            value = getattr(entry, name)
+            if value is not None and value.is_present:
+                texts.append(value.text)
+        if any(fold_key(text, policy) in stems for text in texts):
+            found.append(entry)
+    return found
 
 
 def _exact_or_folded(index: AllFormsIndex, word: str) -> set[tuple[Entry, str]]:

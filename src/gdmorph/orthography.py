@@ -13,6 +13,7 @@ strings, so byte equality equals textual equality.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 
@@ -50,9 +51,12 @@ _STRIP_ACCENTS = str.maketrans(
 )
 
 _GAELIC_LETTERS = set("abcdefghilmnoprstu") | set(_GRAVE_VOWELS) | set(_ACUTE_VOWELS)
-_WORD_CHARS_TEXT = "".join(
-    _GAELIC_LETTERS | {c.upper() for c in _GAELIC_LETTERS} | {"'", "-", " "}
-)
+_LETTER_CLASS = "".join(sorted(_GAELIC_LETTERS | {c.upper() for c in _GAELIC_LETTERS}))
+
+# a Gaelic word: letters of both cases, apostrophe, hyphen and internal
+# spaces, with at least one letter and no space at either end
+WORD_PATTERN = "(?=[' -]*[{L}])[{L}'-](?:[{L}' -]*[{L}'-])?".format(L=_LETTER_CLASS)
+_WORD = re.compile(WORD_PATTERN)
 
 _PROTHETIC_PREFIXES = ("t-", "n-", "h-")
 
@@ -91,11 +95,7 @@ def is_gaelic_word(text: str) -> bool:
     """True if text is a well-formed Gaelic word: non-empty, only the 18
     letters (accented vowels included), apostrophe, hyphen or internal
     space, with no leading or trailing whitespace."""
-    if not text or text != text.strip():
-        return False
-    if text.strip(_WORD_CHARS_TEXT):  # some character is outside the alphabet
-        return False
-    return not _GAELIC_LETTERS.isdisjoint(text.lower())
+    return _WORD.fullmatch(text) is not None
 
 
 def is_vowel(ch: str) -> bool:

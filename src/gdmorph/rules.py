@@ -404,14 +404,15 @@ def load_rules(path) -> RuleSet:
         return parse_rules(handle.read())
 
 
+def bundled_rules_file():
+    """The rule file shipped with the package, an importlib.resources
+    Traversable."""
+    return resources.files(__package__).joinpath("data", DEFAULT_RULES_RESOURCE)
+
+
 def default_rules() -> RuleSet:
     """The rule set shipped with the package."""
-    text = (
-        resources.files(__package__)
-        .joinpath("data", DEFAULT_RULES_RESOURCE)
-        .read_text(encoding="utf-8")
-    )
-    return parse_rules(text)
+    return parse_rules(bundled_rules_file().read_text(encoding="utf-8"))
 
 
 # a derivation failure: (exception type, message); the exception itself

@@ -186,22 +186,19 @@ def _part_token(token: tuple[bool, str], field: str) -> PartValue:
     raise SvfSyntaxError(f"expected quoted word, ? or - for {field}, got {text!r}")
 
 
-# a record as serialize_entry writes it: single spaces, quoted words,
-# bare markers; group order: gender, VERB|ADJ, lemma, part, part, IRREG
+# a record as serialize_entry writes it: single spaces, quoted Gaelic
+# words, bare markers; group order: gender, VERB|ADJ, lemma, part,
+# part, IRREG
 _RECORD = re.compile(
-    r'(?:NOUN ([MF])|(VERB|ADJ)) "([^"]*)" ("[^"]*"|[?-])(?: ("[^"]*"|[?-]))?( IRREG)?'
+    rf'(?:NOUN ([MF])|(VERB|ADJ)) "({orthography.WORD_PATTERN})"'
+    rf' ("{orthography.WORD_PATTERN}"|[?-])(?: ("{orthography.WORD_PATTERN}"|[?-]))?( IRREG)?'
 )
 _MARKERS = {"?": UNKNOWN, "-": NON_EXISTENT}
 
 
-def _record_part(token: str) -> PartValue | None:
-    """A part token the pattern matched; None when its word needs the
-    tokenizer's checks."""
-    marker = _MARKERS.get(token)
-    if marker is not None:
-        return marker
-    word = token[1:-1]
-    return part(word) if orthography.is_gaelic_word(word) else None
+def _record_part(token: str) -> PartValue:
+    """A part token the pattern matched: a marker or a quoted word."""
+    return _MARKERS[token] if token in _MARKERS else part(token[1:-1])
 
 
 def parse_svf_line(line: str) -> Entry:
@@ -216,17 +213,14 @@ def parse_svf_line(line: str) -> Entry:
     match = _RECORD.fullmatch(line)
     if match is not None:
         gender, pos, lemma, first, second, irregular = match.groups()
-        if (gender is None) == (second is None) and orthography.is_gaelic_word(lemma):
+        if (gender is None) == (second is None):
             value = _record_part(first)
             irregular = irregular is not None
             if gender is not None:
-                gs = _record_part(second)
-                if value is not None and gs is not None:
-                    return Entry(lemma, NOUN, irregular, gender, value, gs)
-            elif value is not None:
-                if pos == VERB:
-                    return Entry(lemma, VERB, irregular, vn=value)
-                return Entry(lemma, ADJ, irregular, cp=value)
+                return Entry(lemma, NOUN, irregular, gender, value, _record_part(second))
+            if pos == VERB:
+                return Entry(lemma, VERB, irregular, vn=value)
+            return Entry(lemma, ADJ, irregular, cp=value)
     return _parse_tokens(line)
 
 

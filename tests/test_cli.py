@@ -2,6 +2,7 @@ import argparse
 import sqlite3
 from pathlib import Path
 
+from gdmorph import lexicon, rules
 from gdmorph.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -137,6 +138,28 @@ def test_recognize(capsys):
 def test_recognize_miss(capsys):
     code, _, err = run(capsys, "--vocab", VOCAB, "recognize", "zzz")
     assert code == 1
+
+
+def test_every_expanded_form_is_recognized_as_by_the_whole_index(capsys, tmp_path):
+    # recognize builds its index over candidate entries only; expand
+    # derives surfaces without analyses
+    ruleset = rules.default_rules()
+    for vocab_path in sorted(DATA.glob("*.svf")):
+        out_path = tmp_path / f"{vocab_path.stem}.txt"
+        code, _, _ = run(capsys, "--vocab", str(vocab_path), "expand", "-o", str(out_path))
+        assert code == 0
+        forms = out_path.read_text(encoding="utf-8").splitlines()
+        assert forms
+        vocab, _ = lexicon.Vocabulary.from_svf_file(vocab_path, fold_policy="accents")
+        index = lexicon.build_all_forms(vocab, ruleset)
+        assert forms == sorted(index.forms())
+        for form in forms:
+            code, out, _ = run(capsys, "--vocab", str(vocab_path), "recognize", form)
+            expected = "".join(
+                f"{entry.lemma}\t{entry.pos}\t{form_code}\n"
+                for entry, form_code in lexicon.recognize(index, form)
+            )
+            assert (code, out) == (0, expected), form
 
 
 def test_coverage_lemmas(capsys):
@@ -356,6 +379,16 @@ def test_non_utf8_rule_file_exits_2_naming_file_and_line(capsys, tmp_path):
     code, out, err = run(capsys, "--vocab", VOCAB, "--rules", str(custom), "conjugate", "òl")
     assert (code, out) == (2, "")
     assert err.startswith(f"cannot read rules: {custom}: line 2: not UTF-8")
+
+
+def test_non_utf8_bundled_rule_file_exits_2_naming_it_and_line(capsys, tmp_path, monkeypatch):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "rules.grl").write_bytes(b"\xff")
+    monkeypatch.setattr(rules.resources, "files", lambda package: tmp_path)
+    code, out, err = run(capsys, "--vocab", VOCAB, "inflect", "saoghal", "DP")
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot read rules: gdmorph/data/rules.grl: line 1: not UTF-8")
+    assert "Traceback" not in err
 
 
 def test_non_utf8_frequency_list_exits_2_naming_file_and_line(capsys, tmp_path):
