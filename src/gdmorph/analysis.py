@@ -9,8 +9,9 @@ only by case or by an accent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from itertools import combinations
+from typing import NamedTuple
 
 from . import orthography
 from .orthography import EXACT, fold_key
@@ -29,12 +30,12 @@ class TokenTotalError(ValueError):
     """A frequency list whose counts do not add up to a positive total."""
 
 
-@dataclass
 class FrequencyList:
     """Ranked (rank, lexeme, count) rows from a corpus word list."""
 
-    rows: list[tuple[int, str, int]]
-    warnings: list[str] = field(default_factory=list)
+    def __init__(self, rows: list[tuple[int, str, int]], warnings: Sequence[str] = ()):
+        self.rows = rows
+        self.warnings = list(warnings)
 
     @property
     def total_tokens(self) -> int:
@@ -99,8 +100,7 @@ def _parse_row(cells: list[str], next_rank: int) -> tuple[int, str, int] | None:
     return None
 
 
-@dataclass
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """How much of a frequency list a key set accounts for."""
 
     matched_types: int
@@ -168,8 +168,7 @@ def _selected_part(entry: Entry, part_field: str):
     return getattr(entry, part_field)
 
 
-@dataclass
-class EndingHistogram:
+class EndingHistogram(NamedTuple):
     """Counts of final letter sequences over a filtered set of parts."""
 
     buckets: dict[str, int]

@@ -94,24 +94,6 @@ def _report(args, pairs: list[tuple[str, str]]) -> None:
         print(f"{key:<{width}}  {value}")
 
 
-def _bordered(headers: list[str], rows: list[list[str]], right: set[int]) -> str:
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
-    def fmt(cells):
-        out = []
-        for i, cell in enumerate(cells):
-            pad = cell.rjust(widths[i]) if i in right else cell.ljust(widths[i])
-            out.append(f" {pad} ")
-        return "|" + "|".join(out) + "|"
-    border = "+" + "+".join("-" * (w + 2) for w in widths) + "+"
-    lines = [border, fmt(headers), border]
-    lines += [fmt(row) for row in rows]
-    lines.append(border)
-    return "\n".join(lines) + "\n"
-
-
 def cmd_validate(args) -> int:
     vocab, errors = _load_vocab(args)
     for number, error in errors:
@@ -277,7 +259,7 @@ def cmd_stats(args) -> int:
                 print(f"{ending}\t{count}")
         else:
             rows = [[e, str(c)] for e, c in histogram.buckets.items()]
-            print(_bordered(["Ending", "Freq"], rows, right={1}), end="")
+            print(export.render_table(["Ending", "Freq"], rows, framed=True), end="")
         return 0
     if args.which == "dedup":
         vocab, _ = _load_vocab(args)

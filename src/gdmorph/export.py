@@ -10,8 +10,6 @@ constraints) that SQLite and friends accept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import rules
 from .svf import ADJ, NOUN, VERB
 
@@ -118,41 +116,27 @@ def emit_inserts(entries) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class TableRenderSpec:
-    """Column headers plus rows of equal width, ready to render."""
+def render_table(columns: list[str], rows: list[list[str]], framed: bool = False) -> str:
+    """Column headers and rows between bars, under a rule of dashes and
+    closed by one; a column whose rows all hold digits is right-aligned.
+    framed adds a rule on top and joins each rule at the bars with "+"."""
+    for row in rows:
+        if len(row) != len(columns):
+            raise LayoutMismatchError("row width differs from column count")
+    widths = [max(map(len, column)) for column in zip(columns, *rows)]
+    right = [all(cell.isdigit() for cell in column[1:]) for column in zip(columns, *rows)]
 
-    columns: list[str]
-    rows: list[list[str]]
-    style: str = ASCII
+    def line(cells: list[str]) -> str:
+        padded = (cell.rjust(width) if digits else cell.ljust(width)
+                  for cell, width, digits in zip(cells, widths, right))
+        return "|" + "|".join(f" {cell} " for cell in padded) + "|"
 
-    def render(self) -> str:
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise LayoutMismatchError("row width differs from column count")
-        if self.style == DELIMITED:
-            lines = ["\t".join(self.columns)]
-            lines += ["\t".join(row) for row in self.rows]
-            return "\n".join(lines) + "\n"
-        widths = [
-            max(len(self.columns[i]), *(len(row[i]) for row in self.rows))
-            if self.rows
-            else len(self.columns[i])
-            for i in range(len(self.columns))
-        ]
-        header = "|" + "|".join(
-            f" {self.columns[i]:<{widths[i]}} " for i in range(len(self.columns))
-        ) + "|"
-        border = "+" + "-" * (len(header) - 2) + "+"
-        lines = [header, border]
-        for row in self.rows:
-            lines.append(
-                "|" + "|".join(
-                    f" {row[i]:<{widths[i]}} " for i in range(len(self.columns))
-                ) + "|"
-            )
-        lines.append(border)
-        return "\n".join(lines) + "\n"
+    joint = "+" if framed else "-"
+    rule = "+" + joint.join("-" * (width + 2) for width in widths) + "+"
+    lines = [line(columns), rule, *map(line, rows), rule]
+    if framed:
+        lines.insert(0, rule)
+    return "\n".join(lines) + "\n"
 
 
 NOUN_TABLE = "noun"
@@ -221,15 +205,14 @@ def render_paradigm(
         raise LayoutMismatchError(
             f"form codes {sorted(stray)} do not belong to a {pos} table"
         )
-    spec = TableRenderSpec(
-        columns=columns,
-        rows=[
-            ([] if label is None else [label]) + [_cell(cells, code) for code in codes]
-            for label, *codes in rows
-        ],
-        style=style,
-    )
-    table = spec.render()
+    body = [
+        ([] if label is None else [label]) + [_cell(cells, code) for code in codes]
+        for label, *codes in rows
+    ]
+    if style == DELIMITED:
+        table = "".join("\t".join(row) + "\n" for row in [columns, *body])
+    else:
+        table = render_table(columns, body)
     if title:
         return f"{title}\n{table}"
     return table

@@ -10,7 +10,6 @@ an index over the word's candidate entries is enough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import orthography, rules, svf
@@ -29,10 +28,15 @@ class Vocabulary:
             raise ValueError(f"unknown fold policy: {fold_policy!r}")
         self.entries: list[Entry] = list(entries)
         self.fold_policy = fold_policy
-        self._index: dict[str, list[Entry]] = {}
+
+    @cached_property
+    def _index(self) -> dict[str, list[Entry]]:
+        """Folded lemma -> entries, built on the first lookup."""
+        index: dict[str, list[Entry]] = {}
         for entry in self.entries:
-            key = fold_key(entry.lemma, fold_policy)
-            self._index.setdefault(key, []).append(entry)
+            key = fold_key(entry.lemma, self.fold_policy)
+            index.setdefault(key, []).append(entry)
+        return index
 
     @classmethod
     def from_svf_file(cls, path, fold_policy: str = EXACT):
@@ -56,13 +60,13 @@ class Vocabulary:
         return {entry.lemma for entry in self.entries}
 
 
-@dataclass
 class AllFormsIndex:
     """Surface form -> {(entry, form code)} over a whole vocabulary."""
 
-    fold_policy: str = EXACT
-    form_index: dict[str, set[tuple[Entry, str]]] = field(default_factory=dict)
-    failures: list[tuple[str, str, str]] = field(default_factory=list)
+    def __init__(self, fold_policy: str = EXACT):
+        self.fold_policy = fold_policy
+        self.form_index: dict[str, set[tuple[Entry, str]]] = {}
+        self.failures: list[tuple[str, str, str]] = []
 
     @cached_property
     def _folded(self) -> dict[str, set[str]]:

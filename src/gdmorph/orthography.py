@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from typing import NamedTuple
 
 BROAD = "broad"
 SLENDER = "slender"
@@ -74,16 +74,15 @@ class NotSlenderizableError(MorphologyError):
     """Raised when a word's final vowel group has no defined slender form."""
 
 
-@dataclass(frozen=True)
-class SuffixAlternation:
+class SuffixAlternation(NamedTuple("SuffixAlternation", [("broad", str), ("slender", str)])):
     """A harmony-alternating ending, e.g. the plural pair ("an", "ean")."""
 
-    broad: str
-    slender: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.broad or not self.slender:
+    def __new__(cls, broad: str, slender: str):
+        if not broad or not slender:
             raise ValueError("both suffix alternants must be non-empty")
+        return super().__new__(cls, broad, slender)
 
 
 def canonical(text: str) -> str:

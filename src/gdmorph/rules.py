@@ -30,7 +30,6 @@ each form code), and every entry with that key runs it once.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple
 
@@ -113,8 +112,7 @@ class IrregularUnsupportedError(RuleError):
     """Irregular entries inflect only through LEMMA= special-case rules."""
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """One way to realize a form: transforms over a (suffixed) source."""
 
     source: str
@@ -143,8 +141,7 @@ class Selection(NamedTuple):
     allomorphs: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Matcher:
+class Matcher(NamedTuple):
     """Entry selector; every field that is set must match the entry."""
 
     pos: str
@@ -164,13 +161,11 @@ class Matcher:
         return True
 
 
-@dataclass
-class Rule:
+class Rule(NamedTuple):
     matcher: Matcher
-    derivations: dict[str, tuple[Derivation, ...]] = field(default_factory=dict)
+    derivations: dict[str, tuple[Derivation, ...]]
 
 
-@dataclass
 class RuleSet:
     """Ordered rules; first match wins, so specific rules come first.
 
@@ -181,16 +176,12 @@ class RuleSet:
     looked up is matched against the rules for all of them.
     """
 
-    rules: list[Rule] = field(default_factory=list)
-    _named: frozenset[str] = field(init=False, repr=False, compare=False)
-    _table: dict[tuple, Selection] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
+    def __init__(self, rules: list[Rule]):
+        self.rules = rules
         self._named = frozenset(
-            rule.matcher.lemma_is for rule in self.rules if rule.matcher.lemma_is
+            rule.matcher.lemma_is for rule in rules if rule.matcher.lemma_is
         )
+        self._table: dict[tuple, Selection] = {}
 
     def select(self, entry: Entry) -> Selection:
         """The compiled rules for the entry's selector key."""
@@ -367,7 +358,7 @@ def parse_rules(text: str) -> RuleSet:
         if not line:
             continue
         if line.startswith("*"):
-            current = Rule(matcher=_parse_matcher(line[1:], number))
+            current = Rule(matcher=_parse_matcher(line[1:], number), derivations={})
             rules.append(current)
             continue
         if current is None:
@@ -480,12 +471,11 @@ def _failures(
     return failures
 
 
-@dataclass
-class Paradigm:
+class Paradigm(NamedTuple):
     """Per-form results of declining or conjugating one entry."""
 
-    cells: dict[str, list[str]] = field(default_factory=dict)
-    errors: dict[str, str] = field(default_factory=dict)
+    cells: dict[str, list[str]]
+    errors: dict[str, str]
 
 
 def _paradigm(
@@ -496,7 +486,7 @@ def _paradigm(
     selection = ruleset.select(entry)
     values, _ = _run(entry, selection)
     failures = _failures(entry, selection, values, forms)
-    paradigm = Paradigm(errors={form: text for form, (_, text) in failures.items()})
+    paradigm = Paradigm(cells={}, errors={form: text for form, (_, text) in failures.items()})
     for form in forms:
         if form not in failures:
             variants = (values[end] for end in selection.forms[form])

@@ -35,6 +35,11 @@ def test_load_three_column_tsv(tmp_path):
     assert fl.warnings == []
 
 
+def test_frequency_list_length_counts_rows(tmp_path):
+    fl = load_frequency_list(_freq(tmp_path, "1\tagus\t10\n2\tcat\t5\n3\tglè\t3\n"))
+    assert len(fl) == len(fl.rows) == 3
+
+
 def test_load_two_column_csv_assigns_ranks(tmp_path):
     fl = load_frequency_list(_freq(tmp_path, "agus,10\ncat,5\n"))
     assert fl.rows == [(1, "agus", 10), (2, "cat", 5)]

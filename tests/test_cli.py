@@ -1,11 +1,15 @@
 import argparse
+import os
 import sqlite3
+import subprocess
+import sys
 from pathlib import Path
 
 from gdmorph import lexicon, rules
 from gdmorph.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 VOCAB = str(DATA / "coverage20.svf")
 FREQ = str(DATA / "freq50.tsv")
@@ -470,3 +474,23 @@ def test_option_surface_is_pinned():
     for name, sub in commands.choices.items():
         found[name] = _surface(sub)
     assert found == OPTION_SURFACE
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    """Every CLI call imports gdmorph.cli; dataclasses and the inspect
+    module it pulls in cost each call start-up time.  -S keeps site
+    packages (and their .pth imports) out of the picture.  From Python
+    3.12 importlib.resources, which rules.py imports, loads inspect
+    itself, so there only dataclasses is checked."""
+    unwanted = ["dataclasses"]
+    if sys.version_info < (3, 12):
+        unwanted.append("inspect")
+    check = (
+        "import gdmorph.cli, sys; "
+        f"sys.exit(sorted(set({unwanted!r}) & set(sys.modules)) or None)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", check], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -195,3 +195,18 @@ def test_derive_forms_agrees_with_per_form_reference(text, entry_list):
     ruleset = parse_rules(text)
     for entry in entry_list:
         assert derive_forms(entry, ruleset) == reference_derive_forms(entry, ruleset)
+
+
+def test_bundled_plans_share_steps():
+    """README's figures: under the bundled rules a verb's plan has 18
+    steps (11 suffixes and 7 DH/), a noun's has 3 lenitions (H/NP, H/GS
+    and the lemma's allomorph)."""
+    ruleset = rules.default_rules()
+    verb = ruleset.select(Entry("òl", VERB, vn=part("òl")))
+    assert len(verb.steps) == 18
+    functions = [function for _, function, _ in verb.steps]
+    assert functions.count(orthography.attach_suffix) == 11
+    assert functions.count(orthography.glottal_past_prefix) == 7
+    noun = ruleset.select(Entry("cat", NOUN, gender="M", np=part("cait"), gs=part("cait")))
+    lenitions = [step for step in noun.steps if step[1] is orthography.lenite]
+    assert len(lenitions) == 3

@@ -1,6 +1,7 @@
 import re
 import sqlite3
 from contextlib import closing
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 
 from gdmorph import analysis, export, orthography, rules
 from gdmorph.export import (
+    ASCII,
+    DELIMITED,
     LayoutMismatchError,
-    TableRenderSpec,
     emit_ddl,
     emit_inserts,
     render_paradigm,
+    render_table,
 )
 from gdmorph.svf import ADJ, NOUN, NON_EXISTENT, UNKNOWN, VERB, Entry, parse_svf_line, part
 
@@ -211,9 +214,97 @@ def test_render_delimited_style():
 
 
 def test_table_spec_rejects_ragged_rows():
-    spec = TableRenderSpec(columns=["a", "b"], rows=[["1"]])
     with pytest.raises(LayoutMismatchError):
-        spec.render()
+        render_table(["a", "b"], [["1"]])
+
+
+# The two table printers that render_table replaced, kept as references:
+# the CLI's bordered table (stats vn-endings) and the paradigm table.
+
+
+def reference_bordered(headers: list[str], rows: list[list[str]], right: set[int]) -> str:
+    widths = [
+        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
+        for i in range(len(headers))
+    ]
+    def fmt(cells):
+        out = []
+        for i, cell in enumerate(cells):
+            pad = cell.rjust(widths[i]) if i in right else cell.ljust(widths[i])
+            out.append(f" {pad} ")
+        return "|" + "|".join(out) + "|"
+    border = "+" + "+".join("-" * (w + 2) for w in widths) + "+"
+    lines = [border, fmt(headers), border]
+    lines += [fmt(row) for row in rows]
+    lines.append(border)
+    return "\n".join(lines) + "\n"
+
+
+@dataclass
+class ReferenceTableRenderSpec:
+    """Column headers plus rows of equal width, ready to render."""
+
+    columns: list[str]
+    rows: list[list[str]]
+    style: str = ASCII
+
+    def render(self) -> str:
+        for row in self.rows:
+            if len(row) != len(self.columns):
+                raise LayoutMismatchError("row width differs from column count")
+        if self.style == DELIMITED:
+            lines = ["\t".join(self.columns)]
+            lines += ["\t".join(row) for row in self.rows]
+            return "\n".join(lines) + "\n"
+        widths = [
+            max(len(self.columns[i]), *(len(row[i]) for row in self.rows))
+            if self.rows
+            else len(self.columns[i])
+            for i in range(len(self.columns))
+        ]
+        header = "|" + "|".join(
+            f" {self.columns[i]:<{widths[i]}} " for i in range(len(self.columns))
+        ) + "|"
+        border = "+" + "-" * (len(header) - 2) + "+"
+        lines = [header, border]
+        for row in self.rows:
+            lines.append(
+                "|" + "|".join(
+                    f" {row[i]:<{widths[i]}} " for i in range(len(self.columns))
+                ) + "|"
+            )
+        lines.append(border)
+        return "\n".join(lines) + "\n"
+
+
+# cells up to 24 characters wide, so a cell can be wider than its header
+table_words = st.text(alphabet="abcdeghilmnorstuàèìòùAÒ'- ", min_size=1, max_size=24).filter(
+    orthography.is_gaelic_word
+)
+digit_strings = st.text(alphabet="0123456789", min_size=1, max_size=24)
+
+
+@st.composite
+def tables(draw, column_kinds):
+    """Headers and zero or more rows; each column draws its cells from
+    one of the kinds."""
+    columns = draw(st.lists(table_words, min_size=1, max_size=4))
+    kinds = [draw(st.sampled_from(column_kinds)) for _ in columns]
+    rows = draw(st.lists(st.tuples(*kinds).map(list), max_size=6))
+    return columns, rows
+
+
+@given(tables([table_words, digit_strings, table_words | digit_strings]))
+def test_framed_table_matches_the_bordered_reference(table):
+    columns, rows = table
+    right = {i for i in range(len(columns)) if all(row[i].isdigit() for row in rows)}
+    assert render_table(columns, rows, framed=True) == reference_bordered(columns, rows, right)
+
+
+@given(tables([table_words]))
+def test_table_matches_the_paradigm_reference_on_words(table):
+    columns, rows = table
+    assert render_table(columns, rows) == ReferenceTableRenderSpec(columns, rows).render()
 
 
 # endings that do and do not count, in both cases and with an accent:

@@ -7,7 +7,7 @@ import pytest
 
 from gdmorph import lexicon, rules, svf
 from gdmorph.lexicon import Vocabulary, build_all_forms, recognize
-from gdmorph.orthography import EXACT, FOLD_ACCENTS, FOLD_ACCENTS_CASE
+from gdmorph.orthography import EXACT, FOLD_ACCENTS, FOLD_ACCENTS_CASE, fold_key
 from gdmorph.svf import parse_svf_line
 
 DATA = Path(__file__).parent / "data"
@@ -55,6 +55,20 @@ def test_lookup_finds_every_indexed_lemma(entries):
         vocab = Vocabulary(entries, fold_policy=policy)
         for entry in entries:
             assert entry in vocab.lookup(entry.lemma)
+
+
+def test_vocabulary_folds_no_lemma_before_the_first_lookup(entries, monkeypatch):
+    calls = []
+
+    def counting_fold_key(text, policy):
+        calls.append(text)
+        return fold_key(text, policy)
+
+    monkeypatch.setattr(lexicon, "fold_key", counting_fold_key)
+    vocab = Vocabulary(entries, fold_policy=FOLD_ACCENTS)
+    assert calls == []
+    assert [e.lemma for e in vocab.lookup("mor")] == ["mòr", "mór"]
+    assert len(calls) == len(entries) + 1
 
 
 def test_homographs_all_returned():

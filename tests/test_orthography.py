@@ -134,6 +134,12 @@ def test_attach_suffix(stem, pair, expected):
     assert attach_suffix(stem, SuffixAlternation(*pair)) == expected
 
 
+@pytest.mark.parametrize("pair", [("", "ean"), ("an", "")])
+def test_suffix_alternation_needs_both_alternants(pair):
+    with pytest.raises(ValueError):
+        SuffixAlternation(*pair)
+
+
 def test_normalize_accents_fold():
     assert normalize_accents("mór") == "mòr"
     assert normalize_accents("cat") == "cat"
