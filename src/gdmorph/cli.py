@@ -24,21 +24,16 @@ class _Fail(Exception):
         self.code = code
 
 
-def _not_utf8(path) -> str:
+def _not_utf8(path: str) -> str:
     """Name the file and its first line that is not UTF-8; read only
-    after a load has failed to decode it.  path is a file name or the
-    bundled rule file, a package resource."""
-    if isinstance(path, str):
-        name, handle = path, open(path, "rb")
-    else:
-        name, handle = f"{__package__}/data/{path.name}", path.open("rb")
-    with handle:
+    after a load has failed to decode it."""
+    with open(path, "rb") as handle:
         for number, raw in enumerate(handle, start=1):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                return f"{name}: line {number}: not UTF-8 ({exc.reason})"
-    return f"{name}: not UTF-8"
+                return f"{path}: line {number}: not UTF-8 ({exc.reason})"
+    return f"{path}: not UTF-8"
 
 
 def _read(kind: str, load, path):
@@ -59,12 +54,9 @@ def _load_vocab(args):
 
 
 def _load_rules(args) -> rules.RuleSet:
-    path = args.rules or os.environ.get(ENV_RULES)
-    load = rules.load_rules
-    if not path:
-        path, load = rules.bundled_rules_file(), lambda _: rules.default_rules()
+    path = args.rules or os.environ.get(ENV_RULES) or rules.BUNDLED_RULES
     try:
-        return _read("rules", load, path)
+        return _read("rules", rules.load_rules, path)
     except rules.RuleError as exc:
         raise _Fail(2, f"bad rule file: {exc}")
 

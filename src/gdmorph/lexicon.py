@@ -132,30 +132,22 @@ def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> list[Entr
 
     Every surface is the lemma or a principal part with a suffix
     alternant attached, then lenited or given the dh' prefix, or the
-    lenited allomorph of such a form.  Folding maps each character on
-    its own, so undoing those steps on the folded word, and again on
-    each result, reaches the folded text of the part a surface came
-    from.  SL/ has no such inverse: a rule set that uses it gives every
-    entry.
+    lenited allomorph of such a form.  Only those prefix steps are
+    undone here, on the folded word and again on each result.  A suffix
+    only appends (a vowel doubled at the boundary is written once, so
+    the part is still whole), and folding maps each character on its
+    own, so the folded text of the part a surface came from is a prefix
+    of one of the results.  SL/ has no such inverse: a rule set that
+    uses it gives every entry.
     """
-    derivations = [
-        derivation
+    if any(
+        "SL" in derivation.transforms
         for rule in ruleset.rules
         for alternatives in rule.derivations.values()
         for derivation in alternatives
-    ]
-    if any("SL" in derivation.transforms for derivation in derivations):
+    ):
         return list(vocabulary.entries)
     policy = vocabulary.fold_policy
-    endings = set()
-    for derivation in derivations:
-        if derivation.suffix is not None:
-            for alternant in (derivation.suffix.broad, derivation.suffix.slender):
-                endings.add(fold_key(alternant, policy))
-                if orthography.is_vowel(alternant[0]):
-                    # attach_suffix writes a vowel doubled at the boundary once
-                    endings.add(fold_key(alternant[1:], policy))
-    endings.discard("")
     query = orthography.canonical(word)
     stems: set[str] = set()
     todo = [fold_key(query, policy), fold_key(orthography.strip_prothesis(query), policy)]
@@ -168,7 +160,7 @@ def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> list[Entr
             todo.append(stem[3:])
         if stem[1:2] in ("h", "H"):
             todo.append(stem[:1] + stem[2:])
-        todo += [stem[: -len(ending)] for ending in endings if stem.endswith(ending)]
+    prefixes = {stem[:end] for stem in stems for end in range(1, len(stem) + 1)}
     found = []
     for entry in vocabulary:
         texts = [entry.lemma]
@@ -176,7 +168,7 @@ def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> list[Entr
             value = getattr(entry, name)
             if value is not None and value.is_present:
                 texts.append(value.text)
-        if any(fold_key(text, policy) in stems for text in texts):
+        if any(fold_key(text, policy) in prefixes for text in texts):
             found.append(entry)
     return found
 

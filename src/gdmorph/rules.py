@@ -29,8 +29,8 @@ each form code), and every entry with that key runs it once.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
-from importlib import resources
 from typing import NamedTuple
 
 from . import orthography, svf
@@ -81,7 +81,7 @@ _TRANSFORMS = {
     "SL": orthography.slenderize,
 }
 
-DEFAULT_RULES_RESOURCE = "rules.grl"
+BUNDLED_RULES = os.path.join(os.path.dirname(__file__), "data", "rules.grl")
 
 
 class RuleError(MorphologyError):
@@ -395,15 +395,9 @@ def load_rules(path) -> RuleSet:
         return parse_rules(handle.read())
 
 
-def bundled_rules_file():
-    """The rule file shipped with the package, an importlib.resources
-    Traversable."""
-    return resources.files(__package__).joinpath("data", DEFAULT_RULES_RESOURCE)
-
-
 def default_rules() -> RuleSet:
     """The rule set shipped with the package."""
-    return parse_rules(bundled_rules_file().read_text(encoding="utf-8"))
+    return load_rules(BUNDLED_RULES)
 
 
 # a derivation failure: (exception type, message); the exception itself

@@ -174,13 +174,14 @@ def _word(text: str, field: str) -> str:
     return text
 
 
+_MARKERS = {"?": UNKNOWN, "-": NON_EXISTENT}
+
+
 def _part_token(token: tuple[bool, str], field: str) -> PartValue:
     quoted, text = token
     # markers are canonically unquoted but tolerated inside quotes
-    if text == "?":
-        return UNKNOWN
-    if text == "-":
-        return NON_EXISTENT
+    if text in _MARKERS:
+        return _MARKERS[text]
     if quoted:
         return part(_word(text, field))
     raise SvfSyntaxError(f"expected quoted word, ? or - for {field}, got {text!r}")
@@ -193,7 +194,6 @@ _RECORD = re.compile(
     rf'(?:NOUN ([MF])|(VERB|ADJ)) "({orthography.WORD_PATTERN})"'
     rf' ("{orthography.WORD_PATTERN}"|[?-])(?: ("{orthography.WORD_PATTERN}"|[?-]))?( IRREG)?'
 )
-_MARKERS = {"?": UNKNOWN, "-": NON_EXISTENT}
 
 
 def _record_part(token: str) -> PartValue:

@@ -386,13 +386,23 @@ def test_non_utf8_rule_file_exits_2_naming_file_and_line(capsys, tmp_path):
 
 
 def test_non_utf8_bundled_rule_file_exits_2_naming_it_and_line(capsys, tmp_path, monkeypatch):
-    (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "rules.grl").write_bytes(b"\xff")
-    monkeypatch.setattr(rules.resources, "files", lambda package: tmp_path)
+    bundled = tmp_path / "rules.grl"
+    bundled.write_bytes(b"\xff")
+    monkeypatch.setattr(rules, "BUNDLED_RULES", str(bundled))
     code, out, err = run(capsys, "--vocab", VOCAB, "inflect", "saoghal", "DP")
     assert (code, out) == (2, "")
-    assert err.startswith("cannot read rules: gdmorph/data/rules.grl: line 1: not UTF-8")
-    assert "Traceback" not in err
+    assert err == f"cannot read rules: {bundled}: line 1: not UTF-8 (invalid start byte)\n"
+
+
+def test_bundled_rule_file_with_byte_order_mark_loads(capsys, tmp_path, monkeypatch):
+    """The bundled file is read like any --rules file, so a byte-order
+    mark before its first "*" line is ignored."""
+    bundled = tmp_path / "rules.grl"
+    bundled.write_bytes(b"\xef\xbb\xbf" + Path(rules.BUNDLED_RULES).read_bytes())
+    monkeypatch.setattr(rules, "BUNDLED_RULES", str(bundled))
+    code, out, err = run(capsys, "--vocab", str(DATA / "stats12.svf"), "conjugate", "pòs")
+    assert (code, err) == (0, "")
+    assert "pòsadh" in out
 
 
 def test_non_utf8_frequency_list_exits_2_naming_file_and_line(capsys, tmp_path):
@@ -477,14 +487,10 @@ def test_option_surface_is_pinned():
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
-    """Every CLI call imports gdmorph.cli; dataclasses and the inspect
-    module it pulls in cost each call start-up time.  -S keeps site
-    packages (and their .pth imports) out of the picture.  From Python
-    3.12 importlib.resources, which rules.py imports, loads inspect
-    itself, so there only dataclasses is checked."""
-    unwanted = ["dataclasses"]
-    if sys.version_info < (3, 12):
-        unwanted.append("inspect")
+    """Every CLI call imports gdmorph.cli; dataclasses, importlib.resources
+    and the inspect module either pulls in cost each call start-up time.
+    -S keeps site packages (and their .pth imports) out of the picture."""
+    unwanted = ["dataclasses", "importlib.resources", "inspect"]
     check = (
         "import gdmorph.cli, sys; "
         f"sys.exit(sorted(set({unwanted!r}) & set(sys.modules)) or None)"
