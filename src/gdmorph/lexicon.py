@@ -10,6 +10,7 @@ an index over the word's candidate entries is enough.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property
 
 from . import orthography, rules, svf
@@ -61,19 +62,20 @@ class Vocabulary:
 
 
 class AllFormsIndex:
-    """Surface form -> {(entry, form code)} over a whole vocabulary."""
+    """Surface form -> its (entry, form code) analyses in recognize
+    order, over a whole vocabulary."""
 
     def __init__(self, fold_policy: str = EXACT):
         self.fold_policy = fold_policy
-        self.form_index: dict[str, set[tuple[Entry, str]]] = {}
+        self.form_index: dict[str, tuple[tuple[Entry, str], ...]] = {}
         self.failures: list[tuple[str, str, str]] = []
 
     @cached_property
-    def _folded(self) -> dict[str, set[str]]:
+    def _folded(self) -> dict[str, list[str]]:
         """Folded key -> surfaces, built on the first folded lookup."""
-        folded: dict[str, set[str]] = {}
+        folded: dict[str, list[str]] = {}
         for surface in self.form_index:
-            folded.setdefault(fold_key(surface, self.fold_policy), set()).add(surface)
+            folded.setdefault(fold_key(surface, self.fold_policy), []).append(surface)
         return folded
 
     @property
@@ -99,7 +101,8 @@ def build_all_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> AllFormsIndex:
 
     Expansion is best effort; forms that cannot be derived (unknown
     principal parts, uncovered irregulars) are recorded as failures
-    rather than aborting the build.
+    rather than aborting the build.  Each surface's analyses are sorted
+    here, once, so recognize only reads them.
     """
     index = AllFormsIndex(fold_policy=vocabulary.fold_policy)
     form_index = index.form_index
@@ -107,11 +110,17 @@ def build_all_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> AllFormsIndex:
         forms, failures = rules.derive_forms(entry, ruleset)
         for code, message in failures.items():
             index.failures.append((entry.lemma, code, message))
+        ranks = _RANKS.get(entry.pos, {})
         for surface, codes in forms.items():
-            analyses = form_index.get(surface)
-            if analyses is None:
-                analyses = form_index[surface] = set()
-            analyses.update([(entry, code) for code in codes])
+            if len(codes) > 1:
+                # one entry's analyses differ only in their paradigm rank
+                codes = sorted(codes, key=ranks.get)
+            analyses = tuple([(entry, code) for code in codes])
+            known = form_index.get(surface)
+            if known is not None:
+                # a homograph, or the same record given twice
+                analyses = tuple(sorted(dict.fromkeys(known + analyses), key=_analysis_order))
+            form_index[surface] = analyses
     return index
 
 
@@ -173,15 +182,17 @@ def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> list[Entr
     return found
 
 
-def _exact_or_folded(index: AllFormsIndex, word: str) -> set[tuple[Entry, str]]:
-    if word in index.form_index:
-        # the index's own set, not a copy: callers only read it
-        return index.form_index[word]
-    hits: set[tuple[Entry, str]] = set()
-    if index.fold_policy != EXACT:
-        for surface in index._folded.get(fold_key(word, index.fold_policy), ()):
-            hits |= index.form_index[surface]
-    return hits
+def _exact_or_folded(index: AllFormsIndex, word: str) -> Sequence[tuple[Entry, str]]:
+    hits = index.form_index.get(word)
+    if hits is not None:
+        return hits
+    if index.fold_policy == EXACT:
+        return ()
+    surfaces = index._folded.get(fold_key(word, index.fold_policy), ())
+    if len(surfaces) == 1:
+        return index.form_index[surfaces[0]]
+    union = {analysis for surface in surfaces for analysis in index.form_index[surface]}
+    return sorted(union, key=_analysis_order)
 
 
 def recognize(index: AllFormsIndex, word: str) -> list[tuple[Entry, str]]:
@@ -197,16 +208,13 @@ def recognize(index: AllFormsIndex, word: str) -> list[tuple[Entry, str]]:
         stripped = orthography.strip_prothesis(query)
         if stripped != query:
             hits = _exact_or_folded(index, stripped)
-    if len(hits) < 2:
-        return list(hits)
-    return sorted(hits, key=_analysis_order)
+    return list(hits)
 
 
-# (part of speech, form code) -> position in the paradigm
-_RANK = {
-    (pos, code): rank
+# part of speech -> form code -> position in the paradigm, LEMMA last
+_RANKS = {
+    pos: {code: rank for rank, code in enumerate((*codes, rules.LEMMA))}
     for pos, codes in rules.FORMS_BY_POS.items()
-    for rank, code in enumerate(codes)
 }
 
 
@@ -214,6 +222,6 @@ def _analysis_order(analysis: tuple[Entry, str]) -> tuple:
     """Lemma, part of speech, paradigm order, code, then the SVF record,
     so homographs come out in one order whatever the string hash seed."""
     entry, code = analysis
-    # codes outside the paradigm (LEMMA) sort after every code in it
-    rank = _RANK.get((entry.pos, code), len(_RANK))
+    ranks = _RANKS.get(entry.pos, {})
+    rank = ranks.get(code, len(ranks))
     return (entry.lemma, entry.pos, rank, code, entry)

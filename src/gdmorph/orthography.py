@@ -87,6 +87,8 @@ class SuffixAlternation(NamedTuple("SuffixAlternation", [("broad", str), ("slend
 
 def canonical(text: str) -> str:
     """NFC-compose text and normalize curly apostrophes to U+0027."""
+    if text.isascii():  # NFC leaves ASCII as it is, and ’ is not ASCII
+        return text
     return unicodedata.normalize("NFC", text).replace("’", "'")
 
 
@@ -128,10 +130,12 @@ def fold_key(word: str, policy: str = EXACT) -> str:
     """Fold a word to its lookup key under the given policy."""
     if policy == EXACT:
         return word
+    # _STRIP_ACCENTS maps only non-ASCII vowels
+    stripped = word if word.isascii() else word.translate(_STRIP_ACCENTS)
     if policy == FOLD_ACCENTS:
-        return word.translate(_STRIP_ACCENTS)
+        return stripped
     if policy == FOLD_ACCENTS_CASE:
-        return word.translate(_STRIP_ACCENTS).casefold()
+        return stripped.casefold()
     raise ValueError(f"unknown fold policy: {policy!r}")
 
 

@@ -1,11 +1,14 @@
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gdmorph import lexicon, rules, svf
+from gdmorph import lexicon, orthography, rules, svf
 from gdmorph.lexicon import Vocabulary, build_all_forms, recognize
 from gdmorph.orthography import EXACT, FOLD_ACCENTS, FOLD_ACCENTS_CASE, fold_key
 from gdmorph.svf import parse_svf_line
@@ -267,4 +270,138 @@ def test_recognize_order_ignores_hash_seed():
         'NOUN F "cas" "casan" "caise" DP',
         'NOUN F "cas" "casan" "cois" DP',
         'NOUN M "cas" "casan" "caise" DP',
+    ]
+
+
+# The set-based index and sort-per-call recognize that build_all_forms
+# and recognize replaced, kept verbatim as the reference for their order.
+class _SetIndex:
+    def __init__(self, fold_policy: str = EXACT):
+        self.fold_policy = fold_policy
+        self.form_index: dict[str, set] = {}
+        self.failures: list[tuple[str, str, str]] = []
+
+    @cached_property
+    def _folded(self) -> dict[str, set[str]]:
+        """Folded key -> surfaces, built on the first folded lookup."""
+        folded: dict[str, set[str]] = {}
+        for surface in self.form_index:
+            folded.setdefault(fold_key(surface, self.fold_policy), set()).add(surface)
+        return folded
+
+
+def _reference_build(vocabulary, ruleset):
+    index = _SetIndex(fold_policy=vocabulary.fold_policy)
+    form_index = index.form_index
+    for entry in vocabulary:
+        forms, failures = rules.derive_forms(entry, ruleset)
+        for code, message in failures.items():
+            index.failures.append((entry.lemma, code, message))
+        for surface, codes in forms.items():
+            analyses = form_index.get(surface)
+            if analyses is None:
+                analyses = form_index[surface] = set()
+            analyses.update([(entry, code) for code in codes])
+    return index
+
+
+def _reference_exact_or_folded(index, word):
+    if word in index.form_index:
+        # the index's own set, not a copy: callers only read it
+        return index.form_index[word]
+    hits = set()
+    if index.fold_policy != EXACT:
+        for surface in index._folded.get(fold_key(word, index.fold_policy), ()):
+            hits |= index.form_index[surface]
+    return hits
+
+
+def _reference_recognize(index, word):
+    query = orthography.canonical(word)
+    hits = _reference_exact_or_folded(index, query)
+    if not hits:
+        stripped = orthography.strip_prothesis(query)
+        if stripped != query:
+            hits = _reference_exact_or_folded(index, stripped)
+    if len(hits) < 2:
+        return list(hits)
+    return sorted(hits, key=_reference_analysis_order)
+
+
+# (part of speech, form code) -> position in the paradigm
+_RANK = {
+    (pos, code): rank
+    for pos, codes in rules.FORMS_BY_POS.items()
+    for rank, code in enumerate(codes)
+}
+
+
+def _reference_analysis_order(analysis):
+    entry, code = analysis
+    # codes outside the paradigm (LEMMA) sort after every code in it
+    rank = _RANK.get((entry.pos, code), len(_RANK))
+    return (entry.lemma, entry.pos, rank, code, entry)
+
+
+# plain, grave, acute and capital letters
+_WORDS = st.text(alphabet="abcdgilmnorstuàòéÀS", min_size=1, max_size=7)
+
+
+@st.composite
+def _svf_lines(draw):
+    """SVF lines over a few words and their plain and capital spellings,
+    so that folding merges surfaces.  They always hold a noun lemma
+    entered with both genders and as a verb, and one line given twice.
+    An IRREG line gives its lemma the LEMMA code, which then meets the
+    paradigm codes of a homograph."""
+    pool = []
+    for word in draw(st.lists(_WORDS, min_size=1, max_size=3)):
+        pool += [word, orthography.normalize_accents(word, orthography.STRIP_ALL), word.upper()]
+    texts = st.sampled_from(pool)
+    parts = st.one_of(st.just("?"), st.just("-"), texts.map('"{}"'.format))
+    lemma = draw(texts)
+    lines = [
+        f'NOUN M "{lemma}" {draw(parts)} {draw(parts)}',
+        f'NOUN F "{lemma}" {draw(parts)} {draw(parts)}',
+        f'VERB "{lemma}" {draw(parts)}',
+    ]
+    for _ in range(draw(st.integers(0, 5))):
+        pos = draw(st.sampled_from(["NOUN M", "NOUN F", "VERB", "ADJ"]))
+        count = 2 if pos.startswith("NOUN") else 1
+        irregular = draw(st.sampled_from(["", "", " IRREG"]))
+        lines.append(f'{pos} "{draw(texts)}" ' + " ".join(draw(parts) for _ in range(count)) + irregular)
+    lines.append(draw(st.sampled_from(lines)))
+    return draw(st.permutations(lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_svf_lines(), st.sampled_from(lexicon.FOLD_POLICIES), st.lists(_WORDS, max_size=3))
+def test_recognize_matches_the_set_based_reference(ruleset, lines, policy, others):
+    vocabulary = Vocabulary(map(parse_svf_line, lines), fold_policy=policy)
+    index = build_all_forms(vocabulary, ruleset)
+    reference = _reference_build(vocabulary, ruleset)
+    assert index.failures == reference.failures
+    assert list(index.form_index) == list(reference.form_index)
+    for surface in sorted(index.forms()) + others:
+        for word in [surface, orthography.normalize_accents(surface, orthography.STRIP_ALL),
+                     surface.upper(), "t-" + surface, "h-" + surface, "dh'" + surface]:
+            analyses = recognize(index, word)
+            assert analyses == _reference_recognize(reference, word), word
+            assert len(set(analyses)) == len(analyses), word
+
+
+def test_appending_to_a_result_leaves_the_index_alone(entries, ruleset):
+    index = build_all_forms(Vocabulary(entries), ruleset)
+    first = recognize(index, "saoghal")
+    first.append(first[0])
+    assert recognize(index, "saoghal") == first[:-1]
+
+
+def test_a_line_given_twice_gives_each_analysis_once(ruleset):
+    line = 'NOUN M "saoghal" "saoghalan" "saoghail"'
+    once = build_all_forms(Vocabulary([parse_svf_line(line)]), ruleset)
+    twice = build_all_forms(Vocabulary([parse_svf_line(line), parse_svf_line(line)]), ruleset)
+    assert twice.form_index == once.form_index
+    assert [(e.lemma, c) for e, c in recognize(twice, "shaoghalan")] == [
+        ("saoghal", "GP"), ("saoghal", "VP"),
     ]

@@ -2,6 +2,8 @@ import random
 import unicodedata
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gdmorph import orthography as orth
 from gdmorph.orthography import (
@@ -267,3 +269,23 @@ def test_slenderize_result_ends_slender():
         assert group.endswith("i") or group == "i"
         produced += 1
     assert produced > 50
+
+
+# ASCII letters of both cases, grave and acute vowels of both cases, a
+# decomposed accent, both apostrophes, a hyphen and a non-Gaelic letter
+_MIXED = st.text(alphabet="abghloSTàòÀÒáéÉ\u0300’'-ß", max_size=12)
+
+
+@given(_MIXED)
+def test_canonical_is_nfc_with_straight_apostrophes(text):
+    assert orth.canonical(text) == unicodedata.normalize("NFC", text).replace("’", "'")
+
+
+@given(_MIXED, st.sampled_from([orth.EXACT, orth.FOLD_ACCENTS, orth.FOLD_ACCENTS_CASE]))
+def test_fold_key_matches_translate_reference(word, policy):
+    reference = {
+        orth.EXACT: word,
+        orth.FOLD_ACCENTS: word.translate(orth._STRIP_ACCENTS),
+        orth.FOLD_ACCENTS_CASE: word.translate(orth._STRIP_ACCENTS).casefold(),
+    }[policy]
+    assert orth.fold_key(word, policy) == reference
