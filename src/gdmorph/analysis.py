@@ -69,7 +69,8 @@ def load_frequency_list(path) -> FrequencyList:
             parsed = _parse_row(cells, len(rows) + 1)
             if parsed is None:
                 if number == 1:
-                    continue  # header row
+                    delimiter = None  # a header row: sniff from the first data line
+                    continue
                 warnings.append(f"line {number}: unparsable row {line!r}")
                 continue
             if rows:

@@ -185,8 +185,7 @@ def cmd_recognize(args) -> int:
     ruleset = _load_rules(args)
     word = _query_word(args, args.word)
     # the word's candidate entries give it the analyses the whole vocabulary would
-    entries = lexicon.candidates(vocab, ruleset, word)
-    index = lexicon.build_all_forms(lexicon.Vocabulary(entries, fold_policy=args.fold), ruleset)
+    index = lexicon.build_all_forms(lexicon.candidates(vocab, ruleset, word), ruleset)
     analyses = lexicon.recognize(index, word)
     if not analyses:
         raise _Fail(1, f"unrecognized: {args.word}")

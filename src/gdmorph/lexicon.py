@@ -71,11 +71,15 @@ class AllFormsIndex:
         self.failures: list[tuple[str, str, str]] = []
 
     @cached_property
-    def _folded(self) -> dict[str, list[str]]:
-        """Folded key -> surfaces, built on the first folded lookup."""
-        folded: dict[str, list[str]] = {}
-        for surface in self.form_index:
-            folded.setdefault(fold_key(surface, self.fold_policy), []).append(surface)
+    def _folded(self) -> dict[str, Sequence[tuple[Entry, str]]]:
+        """Folded key -> the analyses of all its spellings, merged in
+        recognize order, built on the first folded lookup.  A key with
+        one spelling shares that spelling's analyses."""
+        folded: dict[str, Sequence[tuple[Entry, str]]] = {}
+        for surface, analyses in self.form_index.items():
+            key = fold_key(surface, self.fold_policy)
+            known = folded.get(key)
+            folded[key] = analyses if known is None else _merge(known, analyses)
         return folded
 
     @property
@@ -101,8 +105,8 @@ def build_all_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> AllFormsIndex:
 
     Expansion is best effort; forms that cannot be derived (unknown
     principal parts, uncovered irregulars) are recorded as failures
-    rather than aborting the build.  Each surface's analyses are sorted
-    here, once, so recognize only reads them.
+    rather than aborting the build.  Codes come in paradigm order and
+    homographs are merged here, once, so recognize only reads them.
     """
     index = AllFormsIndex(fold_policy=vocabulary.fold_policy)
     form_index = index.form_index
@@ -110,17 +114,11 @@ def build_all_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> AllFormsIndex:
         forms, failures = rules.derive_forms(entry, ruleset)
         for code, message in failures.items():
             index.failures.append((entry.lemma, code, message))
-        ranks = _RANKS.get(entry.pos, {})
         for surface, codes in forms.items():
-            if len(codes) > 1:
-                # one entry's analyses differ only in their paradigm rank
-                codes = sorted(codes, key=ranks.get)
             analyses = tuple([(entry, code) for code in codes])
             known = form_index.get(surface)
-            if known is not None:
-                # a homograph, or the same record given twice
-                analyses = tuple(sorted(dict.fromkeys(known + analyses), key=_analysis_order))
-            form_index[surface] = analyses
+            # a homograph, or the same record given twice
+            form_index[surface] = analyses if known is None else _merge(known, analyses)
     return index
 
 
@@ -133,11 +131,12 @@ def surface_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> set[str]:
     return forms
 
 
-def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> list[Entry]:
+def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> Vocabulary:
     """The entries, in vocabulary order, that could have a surface form
     equal to the word, with or without its prothetic prefix, under the
-    vocabulary's fold policy.  An index built over them alone gives
-    recognize the same analyses of the word as the whole vocabulary's.
+    vocabulary's fold policy, which the returned vocabulary keeps.  An
+    index built over it alone gives recognize the same analyses of the
+    word as the whole vocabulary's.
 
     Every surface is the lemma or a principal part with a suffix
     alternant attached, then lenited or given the dh' prefix, or the
@@ -149,14 +148,14 @@ def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> list[Entr
     of one of the results.  SL/ has no such inverse: a rule set that
     uses it gives every entry.
     """
+    policy = vocabulary.fold_policy
     if any(
         "SL" in derivation.transforms
         for rule in ruleset.rules
         for alternatives in rule.derivations.values()
         for derivation in alternatives
     ):
-        return list(vocabulary.entries)
-    policy = vocabulary.fold_policy
+        return Vocabulary(vocabulary.entries, fold_policy=policy)
     query = orthography.canonical(word)
     stems: set[str] = set()
     todo = [fold_key(query, policy), fold_key(orthography.strip_prothesis(query), policy)]
@@ -179,20 +178,14 @@ def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> list[Entr
                 texts.append(value.text)
         if any(fold_key(text, policy) in prefixes for text in texts):
             found.append(entry)
-    return found
+    return Vocabulary(found, fold_policy=policy)
 
 
 def _exact_or_folded(index: AllFormsIndex, word: str) -> Sequence[tuple[Entry, str]]:
     hits = index.form_index.get(word)
-    if hits is not None:
-        return hits
-    if index.fold_policy == EXACT:
-        return ()
-    surfaces = index._folded.get(fold_key(word, index.fold_policy), ())
-    if len(surfaces) == 1:
-        return index.form_index[surfaces[0]]
-    union = {analysis for surface in surfaces for analysis in index.form_index[surface]}
-    return sorted(union, key=_analysis_order)
+    if hits is None and index.fold_policy != EXACT:
+        hits = index._folded.get(fold_key(word, index.fold_policy))
+    return hits or ()
 
 
 def recognize(index: AllFormsIndex, word: str) -> list[tuple[Entry, str]]:
@@ -225,3 +218,8 @@ def _analysis_order(analysis: tuple[Entry, str]) -> tuple:
     ranks = _RANKS.get(entry.pos, {})
     rank = ranks.get(code, len(ranks))
     return (entry.lemma, entry.pos, rank, code, entry)
+
+
+def _merge(known, analyses) -> tuple[tuple[Entry, str], ...]:
+    """Both collections of analyses as one tuple in recognize order."""
+    return tuple(sorted(dict.fromkeys((*known, *analyses)), key=_analysis_order))

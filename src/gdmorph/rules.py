@@ -126,12 +126,12 @@ class Selection(NamedTuple):
 
     The plan's values are numbered: first each distinct principal part
     it reads (sources), then one per step, a step applying one suffix or
-    transform to an earlier value.  forms maps each form code to the
-    values of its alternatives, from the first matching rule that
-    defines it.  For a noun, allomorphs pairs the lemma and each such
-    value with the value of its lenited allomorph, leaving out values
-    that H/ gave (lenition is idempotent).  matched tells whether any
-    rule matched at all.
+    transform to an earlier value.  forms maps each form code, in
+    paradigm order, to the values of its alternatives, from the first
+    matching rule that defines it.  For a noun, allomorphs pairs the
+    lemma and each such value with the value of its lenited allomorph,
+    leaving out values that H/ gave (lenition is idempotent).  matched
+    tells whether any rule matched at all.
     """
 
     matched: bool
@@ -141,28 +141,15 @@ class Selection(NamedTuple):
     allomorphs: tuple[tuple[int, int], ...]
 
 
-class Matcher(NamedTuple):
-    """Entry selector; every field that is set must match the entry."""
+class Rule(NamedTuple):
+    """One "*" block: its selector, then the derivations of each form
+    code it defines.  A selector field that is None matches any entry;
+    every other field must equal the entry's."""
 
     pos: str
-    gender: str | None = None
-    irregular: bool | None = None
-    lemma_is: str | None = None
-
-    def matches(self, entry: Entry) -> bool:
-        if entry.pos != self.pos:
-            return False
-        if self.gender is not None and entry.gender != self.gender:
-            return False
-        if self.irregular is not None and entry.irregular != self.irregular:
-            return False
-        if self.lemma_is is not None and entry.lemma != self.lemma_is:
-            return False
-        return True
-
-
-class Rule(NamedTuple):
-    matcher: Matcher
+    gender: str | None
+    irregular: bool | None
+    lemma_is: str | None
     derivations: dict[str, tuple[Derivation, ...]]
 
 
@@ -170,17 +157,15 @@ class RuleSet:
     """Ordered rules; first match wins, so specific rules come first.
 
     The rules are read as fixed once the set is made.  An entry's
-    selector key is what a Matcher can test of it: part of speech,
-    gender, IRREG, and the lemma only when some LEMMA= rule names it.
-    Entries that share a key agree on every predicate, so the first one
-    looked up is matched against the rules for all of them.
+    selector key is what a rule's selector can test of it: part of
+    speech, gender, IRREG, and the lemma only when some LEMMA= rule
+    names it.  The key itself is matched against the rules, so every
+    entry with it runs one plan.
     """
 
     def __init__(self, rules: list[Rule]):
         self.rules = rules
-        self._named = frozenset(
-            rule.matcher.lemma_is for rule in rules if rule.matcher.lemma_is
-        )
+        self._named = frozenset(rule.lemma_is for rule in rules if rule.lemma_is)
         self._table: dict[tuple, Selection] = {}
 
     def select(self, entry: Entry) -> Selection:
@@ -189,22 +174,23 @@ class RuleSet:
         key = (entry.pos, entry.gender, entry.irregular, lemma)
         selection = self._table.get(key)
         if selection is None:
-            selection = self._table[key] = _compile(self.rules, entry)
+            selection = self._table[key] = _compile(self.rules, key)
         return selection
 
 
-def _compile(rules: list[Rule], entry: Entry) -> Selection:
-    # irregular entries inflect only through LEMMA= special cases
+def _compile(rules: list[Rule], key: tuple) -> Selection:
+    pos, _, irregular, _ = key
     derivations: dict[str, tuple[Derivation, ...]] = {}
     matched = False
     for rule in rules:
-        if entry.irregular and rule.matcher.lemma_is is None:
+        # irregular entries inflect only through LEMMA= special cases
+        if irregular and rule.lemma_is is None:
             continue
-        if rule.matcher.matches(entry):
+        if all(want is None or want == have for want, have in zip(rule[:4], key)):
             matched = True
             for code, alternatives in rule.derivations.items():
                 derivations.setdefault(code, alternatives)
-    return _plan(entry.pos, matched, derivations)
+    return _plan(pos, matched, derivations)
 
 
 def _plan(pos: str, matched: bool, derivations: dict) -> Selection:
@@ -251,7 +237,7 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _parse_matcher(text: str, number: int) -> Matcher:
+def _parse_matcher(text: str, number: int) -> Rule:
     pos = None
     gender = None
     irregular = None
@@ -289,7 +275,7 @@ def _parse_matcher(text: str, number: int) -> Matcher:
             f'line {number}: IRREG needs LEMMA="word"; irregular entries '
             "take only special-case rules"
         )
-    return Matcher(pos=pos, gender=gender, irregular=irregular, lemma_is=lemma_is)
+    return Rule(pos, gender, irregular, lemma_is, derivations={})
 
 
 def _split_outside_quotes(text: str, separator: str) -> list[str]:
@@ -358,7 +344,7 @@ def parse_rules(text: str) -> RuleSet:
         if not line:
             continue
         if line.startswith("*"):
-            current = Rule(matcher=_parse_matcher(line[1:], number), derivations={})
+            current = _parse_matcher(line[1:], number)
             rules.append(current)
             continue
         if current is None:
@@ -371,7 +357,7 @@ def parse_rules(text: str) -> RuleSet:
             if not colon:
                 raise RuleSyntaxError(f"line {number}: expected TARGET: expression")
             target = target_text.strip().upper()
-            pos = current.matcher.pos
+            pos = current.pos
             if target not in FORMS_BY_POS[pos]:
                 if any(target in forms for forms in FORMS_BY_POS.values()):
                     raise UnknownFormCodeError(
@@ -523,15 +509,15 @@ def conjugate(entry: Entry, ruleset: RuleSet) -> Paradigm:
 
 def derive_forms(
     entry: Entry, ruleset: RuleSet
-) -> tuple[dict[str, set[str]], dict[str, str]]:
+) -> tuple[dict[str, list[str]], dict[str, str]]:
     """Every producible surface form, mapped to the form codes it
-    realizes, plus the per-code errors for forms that could not be
-    derived.
+    realizes in paradigm order, plus the per-code errors for forms that
+    could not be derived.
 
-    Best effort: the lemma is always included.  For nouns, the lenited
-    allomorph of each form is added too (mo chat, mo shaoghal), tagged
-    with the codes of the form it varies, unless that spelling is
-    already a form in its own right.
+    Best effort: the lemma is always included, as LEMMA when no code
+    gives it.  For nouns, the lenited allomorph of each form is added
+    too (mo chat, mo shaoghal), with a copy of the codes of the form it
+    varies, unless that spelling is already a form in its own right.
     """
     selection = ruleset.select(entry)
     values, failed = _run(entry, selection)
@@ -539,25 +525,25 @@ def derive_forms(
     failures = {}
     if failed or len(selection.forms) < len(pos_forms):
         failures = _failures(entry, selection, values, pos_forms)
-    forms: dict[str, set[str]] = {}
+    forms: dict[str, list[str]] = {}
     for code, ends in selection.forms.items():
         if code in failures:
             continue
         for end in ends:
             surface = values[end]
             if surface is not None:
-                known = forms.get(surface)
-                if known is None:
-                    forms[surface] = {code}
-                else:
-                    known.add(code)
+                codes = forms.get(surface)
+                if codes is None:
+                    forms[surface] = [code]
+                elif codes[-1] != code:
+                    codes.append(code)
     if entry.lemma not in forms:
-        forms[entry.lemma] = {LEMMA}
+        forms[entry.lemma] = [LEMMA]
     for end, lenited in selection.allomorphs:
         surface, lenited = values[end], values[lenited]
         # a failed or non-existent value is no form, and has no allomorph
         if surface in forms and lenited != surface and lenited not in forms:
-            forms[lenited] = set(forms[surface])
+            forms[lenited] = list(forms[surface])
     return forms, {code: message for code, (_, message) in failures.items()}
 
 

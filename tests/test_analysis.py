@@ -50,6 +50,13 @@ def test_load_skips_header_row(tmp_path):
     assert fl.rows == [(1, "agus", 10)]
 
 
+@pytest.mark.parametrize("header", ["rank lexeme count", "Rank,Lexeme,Count"])
+def test_load_sniffs_the_delimiter_below_a_header(tmp_path, header):
+    fl = load_frequency_list(_freq(tmp_path, f"{header}\n1\tagus\t10\n2\tcat\t5\n"))
+    assert fl.rows == [(1, "agus", 10), (2, "cat", 5)]
+    assert fl.warnings == []
+
+
 def test_load_warns_on_bad_rows_and_order(tmp_path):
     fl = load_frequency_list(
         _freq(tmp_path, "1\tagus\t10\n2\tbroken\n3\tcat\t20\n")

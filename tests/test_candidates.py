@@ -129,4 +129,4 @@ def test_a_rule_set_using_sl_gives_every_entry():
         Entry("òl", VERB, vn=part("òl")),
     ]
     vocabulary = Vocabulary(entries)
-    assert candidates(vocabulary, ruleset, "zzz") == entries
+    assert candidates(vocabulary, ruleset, "zzz").entries == entries

@@ -41,6 +41,12 @@ def test_validate_missing_file(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_validate_needs_vocab(capsys):
+    code, out, err = run(capsys, "validate")
+    assert (code, out) == (2, "")
+    assert err == "this command needs --vocab\n"
+
+
 def test_validate_counts_unknown_parts(capsys, tmp_path):
     path = tmp_path / "v.svf"
     path.write_text('NOUN F "sgoil" "sgoiltean" ?\n', encoding="utf-8")
@@ -82,6 +88,15 @@ def test_decline_renders_table(capsys):
     assert "shaoghalan" in out
 
 
+def test_decline_reports_each_cell_it_cannot_derive(capsys, tmp_path):
+    path = tmp_path / "unknown.svf"
+    path.write_text('NOUN M "cat" ? "cait"\n', encoding="utf-8")
+    code, out, err = run(capsys, "--vocab", str(path), "decline", "cat")
+    assert code == 0
+    assert "| nom. | cat      | —      |" in out
+    assert err == "".join(f"{form}: cat: NP is unknown\n" for form in ("DP", "GP", "NP", "VP"))
+
+
 def test_decline_not_a_noun(capsys):
     code, _, err = run(capsys, "--vocab", VOCAB, "decline", "òl")
     assert code == 1 and "no noun entry" in err
@@ -113,6 +128,13 @@ def test_expand_to_file(capsys, tmp_path):
     assert forms == sorted(forms)
     assert "shaoghail" in forms and "dh'òl" in forms
     assert f"{len(forms)} forms" in out
+
+
+def test_expand_to_missing_directory_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "--vocab", VOCAB, "expand", "-o", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot write {out_path}: ")
 
 
 def test_expand_saoghal_only(capsys, tmp_path):
@@ -209,6 +231,14 @@ def test_stats_vn_endings_table(capsys):
     assert "| adh    |    3 |" in out
 
 
+def test_stats_vn_endings_tsv(capsys):
+    code, out, _ = run(
+        capsys, "--vocab", str(DATA / "stats12.svf"), "--format", "tsv", "stats", "vn-endings"
+    )
+    assert code == 0
+    assert out == "adh\t3\nchd\t1\ninn\t1\n"
+
+
 def test_stats_dedup(capsys, tmp_path):
     path = tmp_path / "dups.svf"
     path.write_text(
@@ -248,6 +278,14 @@ def test_stats_zipf_zero_token_total_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "stats", "zipf", "--freq", str(path), "--k", "1")
     assert code == 2 and out == ""
     assert "token counts sum to 0" in err
+
+
+def test_frequency_list_without_a_parsable_row_exits_2(capsys, tmp_path):
+    path = tmp_path / "words.tsv"
+    path.write_text("a b\nc d\n", encoding="utf-8")
+    code, out, err = run(capsys, "stats", "hapax", "--freq", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"no parsable rows in {path}\n"
 
 
 def test_stats_needs_freq(capsys):

@@ -33,12 +33,12 @@ SOURCES = {NOUN: ["LEMMA", "NS", "NP", "GS"], VERB: ["LEMMA", "VN"], ADJ: ["LEMM
 PARTS = {NOUN: ("np", "gs"), VERB: ("vn",), ADJ: ("cp",)}
 
 
-def _reference_matches(matcher: rules.Matcher, entry: Entry) -> bool:
+def _reference_matches(rule: rules.Rule, entry: Entry) -> bool:
     return (
-        matcher.pos == entry.pos
-        and matcher.gender in (None, entry.gender)
-        and matcher.irregular in (None, entry.irregular)
-        and matcher.lemma_is in (None, entry.lemma)
+        rule.pos == entry.pos
+        and rule.gender in (None, entry.gender)
+        and rule.irregular in (None, entry.irregular)
+        and rule.lemma_is in (None, entry.lemma)
     )
 
 
@@ -72,8 +72,8 @@ def reference_apply(entry: Entry, derivation: rules.Derivation) -> str | None:
 def reference_inflect(entry: Entry, form: str, ruleset: rules.RuleSet) -> list[str]:
     candidates = [
         rule for rule in ruleset.rules
-        if (rule.matcher.lemma_is is not None or not entry.irregular)
-        and _reference_matches(rule.matcher, entry)
+        if (rule.lemma_is is not None or not entry.irregular)
+        and _reference_matches(rule, entry)
     ]
     if entry.irregular and not candidates:
         raise IrregularUnsupportedError(
@@ -166,7 +166,8 @@ def test_compiled_table_agrees_with_first_match_scan(text, entry_list):
 
 
 def reference_derive_forms(entry: Entry, ruleset: rules.RuleSet):
-    """derive_forms as it read the paradigm one form code at a time."""
+    """derive_forms as it read the paradigm one form code at a time,
+    each surface's codes in paradigm order."""
     forms, errors = {}, {}
     for code in FORMS_BY_POS[entry.pos]:
         outcome = _outcome(reference_inflect, entry, code, ruleset)
@@ -174,14 +175,16 @@ def reference_derive_forms(entry: Entry, ruleset: rules.RuleSet):
             errors[code] = outcome[1]
             continue
         for variant in outcome:
-            forms.setdefault(variant, set()).add(code)
+            codes = forms.setdefault(variant, [])
+            if code not in codes:
+                codes.append(code)
     if entry.lemma not in forms:
-        forms[entry.lemma] = {"LEMMA"}
+        forms[entry.lemma] = ["LEMMA"]
     if entry.pos == NOUN:
         for surface, codes in list(forms.items()):
             lenited = orthography.lenite(surface)
             if lenited != surface and lenited not in forms:
-                forms[lenited] = set(codes)
+                forms[lenited] = list(codes)
     return forms, errors
 
 

@@ -44,7 +44,7 @@ def test_parse_feminine_noun_rule():
     ruleset = parse_rules(FEMININE_RULE)
     assert len(ruleset.rules) == 1
     rule = ruleset.rules[0]
-    assert rule.matcher.pos == svf.NOUN and rule.matcher.gender == "F"
+    assert rule.pos == svf.NOUN and rule.gender == "F"
     assert len(rule.derivations) == 8
     (vs,) = rule.derivations["VS"]
     assert vs.transforms == ("H",) and vs.source == "GS"
@@ -118,7 +118,7 @@ def test_load_rules_accepts_byte_order_mark(tmp_path):
     path = tmp_path / "bom.grl"
     path.write_text("\ufeff* NOUN & M\nNS: NS\n", encoding="utf-8")
     (rule,) = rules.load_rules(path).rules
-    assert rule.matcher.gender == "M"
+    assert rule.gender == "M"
 
 
 def test_derivation_errors_share_one_base():
@@ -377,11 +377,11 @@ def test_surface_forms_satisfy_vowel_harmony(ruleset, saoghal, ol):
 
 def test_inflect_does_not_mutate_inputs(ruleset, saoghal):
     before_rules = [
-        (rule.matcher, dict(rule.derivations)) for rule in ruleset.rules
+        (rule[:4], dict(rule.derivations)) for rule in ruleset.rules
     ]
     inflect(saoghal, "VS", ruleset)
     after_rules = [
-        (rule.matcher, dict(rule.derivations)) for rule in ruleset.rules
+        (rule[:4], dict(rule.derivations)) for rule in ruleset.rules
     ]
     assert before_rules == after_rules
 
