@@ -50,28 +50,28 @@ def load_frequency_list(path) -> FrequencyList:
 
     Accepts three-column rank,lexeme,count rows or two-column
     lexeme,count rows (ranks assigned by position).  The delimiter is
-    tab or comma, sniffed from the first data line.  An optional header
-    row is skipped; malformed rows, ranks out of order and counts above
-    the previous row's are reported as warnings that name their line,
-    not as errors.  Lexemes are kept as found, dirty or not.
+    tab or comma, sniffed from the first data line.  The first line that
+    is not blank or a comment may be a header row, which is skipped;
+    malformed rows, ranks out of order and counts above the previous
+    row's are reported as warnings that name their line, not as errors.
+    Lexemes are kept as found, dirty or not.
     """
     rows: list[tuple[int, str, int]] = []
     warnings: list[str] = []
     delimiter = None
     with open(path, encoding="utf-8-sig") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").strip()
-            if not line or line.startswith("#"):
-                continue
+        lines = enumerate(map(str.strip, handle), start=1)
+        records = ((number, line) for number, line in lines if line and not line.startswith("#"))
+        for index, (number, line) in enumerate(records):
             if delimiter is None:
                 delimiter = "\t" if "\t" in line else ","
             cells = [cell.strip() for cell in line.split(delimiter)]
             parsed = _parse_row(cells, len(rows) + 1)
             if parsed is None:
-                if number == 1:
-                    delimiter = None  # a header row: sniff from the first data line
-                    continue
-                warnings.append(f"line {number}: unparsable row {line!r}")
+                if not rows:
+                    delimiter = None  # no data line has fixed it yet
+                if index:  # the first record may be a header
+                    warnings.append(f"line {number}: unparsable row {line!r}")
                 continue
             if rows:
                 rank, _, count = parsed

@@ -80,10 +80,11 @@ _INSERT_COLUMNS = ", ".join(("Lemma", "IRREG", "POS", "GR") + _PART_COLUMNS)
 def emit_inserts(entries) -> str:
     """One INSERT per entry, executable against either DDL dialect.
 
-    Unknown and non-existent parts both become NULL; the non-existent
-    ones are additionally noted in a trailing comment so the distinction
-    survives in the script.  Values over the 35-character column width
-    are flagged with a warning comment.
+    Unknown and non-existent parts both become NULL, the latter noted in
+    a trailing comment so the distinction survives in the script.  So a
+    marker in a field the part of speech forbids passes the CHECK, and
+    only svf.validate reports it.  Values over the 35-character column
+    width are flagged with a warning comment.
     """
     lines = ["-- Facal principal-parts data"]
     for entry in entries:

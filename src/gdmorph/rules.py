@@ -70,9 +70,8 @@ FORMS_BY_POS = {NOUN: NOUN_FORMS, VERB: VERB_FORMS, ADJ: ADJ_FORMS}
 
 LEMMA = "LEMMA"
 _SOURCES_BY_POS = {
-    NOUN: (LEMMA, "NP", "GS"),
-    VERB: (LEMMA, "VN"),
-    ADJ: (LEMMA, "CP"),
+    pos: (LEMMA, *(field.upper() for field in fields if field in svf.PART_FIELDS))
+    for pos, fields in svf.FIELDS_BY_POS.items()
 }
 
 _TRANSFORMS = {
@@ -268,7 +267,7 @@ def _parse_matcher(text: str, number: int) -> Rule:
             raise RuleSyntaxError(f"line {number}: unknown predicate {pred!r}")
     if pos is None:
         raise RuleSyntaxError(f"line {number}: rule needs NOUN, VERB or ADJ")
-    if gender is not None and pos != NOUN:
+    if gender is not None and "gender" not in svf.FIELDS_BY_POS[pos]:
         raise RuleSyntaxError(f"line {number}: only nouns have a gender, not {pos}")
     if irregular and lemma_is is None:
         raise RuleSyntaxError(

@@ -6,13 +6,13 @@ per line.
     VERB "òl" "òl"
     ADJ "mòr" "motha"
 
-A noun line carries gender, lemma, nominative plural and genitive
-singular; a verb line carries lemma and verbal noun; an adjective line
-carries lemma and comparative.  A principal part that could not be
-sourced is written as an unquoted "?" (unknown); a part that does not
-exist (mass nouns with no plural, say) is written as "-".  A trailing
-IRREG token flags a wholly irregular word.  Lines starting with "#" and
-blank lines are ignored.
+After its part of speech, a line carries the fields FIELDS_BY_POS lists
+for it, the lemma after any gender: NP is the nominative plural, GS the
+genitive singular, VN the verbal noun and CP the comparative.  A part
+that could not be sourced is written as an unquoted "?" (unknown); a
+part that does not exist (mass nouns with no plural, say) is written as
+"-".  A trailing IRREG token flags a wholly irregular word.  Lines
+starting with "#" and blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -25,7 +25,11 @@ from . import orthography
 NOUN = "NOUN"
 VERB = "VERB"
 ADJ = "ADJ"
-PARTS_OF_SPEECH = (NOUN, VERB, ADJ)
+
+# the Entry fields each part of speech carries, in record and Entry
+# order: the one place that says so, as the Facal table's CHECK does
+FIELDS_BY_POS = {NOUN: ("gender", "np", "gs"), VERB: ("vn",), ADJ: ("cp",)}
+PARTS_OF_SPEECH = tuple(FIELDS_BY_POS)
 
 GENDERS = ("M", "F")
 
@@ -82,9 +86,9 @@ def part(text: str) -> PartValue:
 class Entry(NamedTuple):
     """One headword with its principal parts.
 
-    np/gs are set only on nouns, vn only on verbs, cp only on
-    adjectives; gender only on nouns.  A set field may still hold the
-    unknown or non-existent marker.
+    Of gender and the part fields, only those FIELDS_BY_POS lists for
+    the part of speech are set.  A set part may still hold the unknown
+    or non-existent marker.
     """
 
     lemma: str
@@ -104,6 +108,14 @@ class Entry(NamedTuple):
 # the Entry fields that hold principal parts
 PART_FIELDS = Entry._fields[4:]
 
+# each part of speech's fields as one run of an Entry's fields, and the
+# Nones that fill an Entry's fields between irregular and that run
+_SPANS = {
+    pos: slice(Entry._fields.index(fields[0]), Entry._fields.index(fields[-1]) + 1)
+    for pos, fields in FIELDS_BY_POS.items()
+}
+_PADDING = {pos: (None,) * (span.start - 3) for pos, span in _SPANS.items()}
+
 
 class Violation(NamedTuple):
     """One failed integrity clause, naming the offending field."""
@@ -115,32 +127,32 @@ class Violation(NamedTuple):
         return f"{self.field}: {self.clause}"
 
 
-_NOUN_CLAUSE = "(GR IS NULL AND NP IS NULL AND GS IS NULL) OR POS = 'NOUN'"
-_VERB_CLAUSE = "VN IS NULL OR POS = 'VERB'"
-_ADJ_CLAUSE = "CP IS NULL OR POS = 'ADJ'"
+def _clause(pos: str, fields: tuple[str, ...]) -> str:
+    """The CHECK conjunct that keeps a part of speech's fields to it."""
+    columns = ("GR" if field == "gender" else field.upper() for field in fields)
+    nulls = " AND ".join(column + " IS NULL" for column in columns)
+    return f"({nulls}) OR POS = '{pos}'" if len(fields) > 1 else f"{nulls} OR POS = '{pos}'"
+
+
+_CLAUSES = {pos: _clause(pos, fields) for pos, fields in FIELDS_BY_POS.items()}
 
 
 def validate(entry: Entry) -> list[Violation]:
     """Check the semantic-integrity constraint on principal parts.
 
-    Empty result means: no field is set that the part of speech forbids,
-    and every part the part of speech requires is set (possibly to an
-    unknown/non-existent marker).
+    Empty result means: every field FIELDS_BY_POS lists for the part of
+    speech is set, and no other is.  A marker counts as set, though the
+    SQL export writes it as NULL.
     """
-    violations = []
-    if entry.pos != NOUN:
-        for field in ("gender", "np", "gs"):
-            if getattr(entry, field) is not None:
-                violations.append(Violation(field, _NOUN_CLAUSE))
-    if entry.vn is not None and entry.pos != VERB:
-        violations.append(Violation("vn", _VERB_CLAUSE))
-    if entry.cp is not None and entry.pos != ADJ:
-        violations.append(Violation("cp", _ADJ_CLAUSE))
-    mandatory = {NOUN: ("gender", "np", "gs"), VERB: ("vn",), ADJ: ("cp",)}
-    for field in mandatory.get(entry.pos, ()):
-        if getattr(entry, field) is None:
-            violations.append(Violation(field, f"mandatory for {entry.pos}"))
-    return violations
+    forbidden = [
+        Violation(field, _CLAUSES[pos])
+        for pos, fields in FIELDS_BY_POS.items() if pos != entry.pos
+        for field in fields if getattr(entry, field) is not None
+    ]
+    return forbidden + [
+        Violation(field, f"mandatory for {entry.pos}")
+        for field in FIELDS_BY_POS.get(entry.pos, ()) if getattr(entry, field) is None
+    ]
 
 
 # a quoted field, a quote that opens no field, or a bare word; the
@@ -218,9 +230,7 @@ def parse_svf_line(line: str) -> Entry:
             irregular = irregular is not None
             if gender is not None:
                 return Entry(lemma, NOUN, irregular, gender, value, _record_part(second))
-            if pos == VERB:
-                return Entry(lemma, VERB, irregular, vn=value)
-            return Entry(lemma, ADJ, irregular, cp=value)
+            return Entry(lemma, pos, irregular, *_PADDING[pos], value)
     return _parse_tokens(line)
 
 
@@ -232,79 +242,41 @@ def _parse_tokens(line: str) -> Entry:
     quoted, pos = tokens[0]
     if quoted or pos not in PARTS_OF_SPEECH:
         raise SvfSyntaxError(f"unknown part of speech: {pos!r}")
-    rest = tokens[1:]
+    irregular = tokens[-1] == (False, "IRREG")  # never the first token, a part of speech
+    rest = tokens[1:-1] if irregular else tokens[1:]
 
-    irregular = False
-    if rest and rest[-1] == (False, "IRREG"):
-        irregular = True
-        rest = rest[:-1]
-
-    if pos == NOUN:
-        if not rest or rest[0][0] or rest[0][1] not in GENDERS:
-            got = "" if not rest else rest[0][1]
-            raise ConstraintViolationError(
-                f"NOUN requires gender M or F, got {got!r}"
-            )
-        gender = rest[0][1]
-        fields = rest[1:]
-        if len(fields) != 3:
-            raise SvfSyntaxError(
-                f"NOUN record needs lemma, NP and GS, got {len(fields)} fields"
-            )
-        if not fields[0][0]:
-            raise SvfSyntaxError("lemma must be a quoted word")
-        return Entry(
-            lemma=_word(fields[0][1], "lemma"),
-            pos=NOUN,
-            irregular=irregular,
-            gender=gender,
-            np=_part_token(fields[1], "NP"),
-            gs=_part_token(fields[2], "GS"),
-        )
-
-    # VERB and ADJ records: lemma plus one part
-    if rest and not rest[0][0] and rest[0][1] in GENDERS:
+    fields = FIELDS_BY_POS[pos]
+    values = []  # the gender, if any, then the parts
+    if fields[0] == "gender":
+        quoted, gender = rest[0] if rest else (False, "")
+        if quoted or gender not in GENDERS:
+            raise ConstraintViolationError(f"{pos} requires gender M or F, got {gender!r}")
+        values, rest, fields = [gender], rest[1:], fields[1:]
+    elif rest and not rest[0][0] and rest[0][1] in GENDERS:
         raise ConstraintViolationError(f"gender is not allowed for {pos}")
-    part_name = "VN" if pos == VERB else "CP"
-    if len(rest) != 2:
+    if len(rest) != len(fields) + 1:
+        names = ["lemma", *(field.upper() for field in fields)]
         raise SvfSyntaxError(
-            f"{pos} record needs lemma and {part_name}, got {len(rest)} fields"
+            f"{pos} record needs {', '.join(names[:-1])} and {names[-1]}, got {len(rest)} fields"
         )
     if not rest[0][0]:
         raise SvfSyntaxError("lemma must be a quoted word")
-    value = _part_token(rest[1], part_name)
     lemma = _word(rest[0][1], "lemma")
-    if pos == VERB:
-        return Entry(lemma=lemma, pos=VERB, irregular=irregular, vn=value)
-    return Entry(lemma=lemma, pos=ADJ, irregular=irregular, cp=value)
-
-
-def _part_text(value: PartValue) -> str:
-    return f'"{value}"' if value.is_present else str(value)
+    values += [_part_token(token, field.upper()) for token, field in zip(rest[1:], fields)]
+    return Entry(lemma, pos, irregular, *_PADDING[pos], *values)
 
 
 def serialize_entry(entry: Entry) -> str:
     """Emit the canonical one-line record; inverse of parse_svf_line."""
-    if entry.pos == NOUN:
-        if entry.gender is None or entry.np is None or entry.gs is None:
-            raise ValueError("noun entry is missing gender, NP or GS")
-        tokens = [
-            NOUN,
-            entry.gender,
-            f'"{entry.lemma}"',
-            _part_text(entry.np),
-            _part_text(entry.gs),
-        ]
-    elif entry.pos == VERB:
-        if entry.vn is None:
-            raise ValueError("verb entry is missing VN")
-        tokens = [VERB, f'"{entry.lemma}"', _part_text(entry.vn)]
-    elif entry.pos == ADJ:
-        if entry.cp is None:
-            raise ValueError("adjective entry is missing CP")
-        tokens = [ADJ, f'"{entry.lemma}"', _part_text(entry.cp)]
-    else:
+    fields = FIELDS_BY_POS.get(entry.pos)
+    if fields is None:
         raise ValueError(f"unknown part of speech: {entry.pos!r}")
+    values = entry[_SPANS[entry.pos]]
+    if None in values:
+        raise ValueError(f"{entry.pos} entry is missing one of {', '.join(fields)}")
+    lead = int(fields[0] == "gender")  # a gender goes bare before the lemma
+    tokens = [entry.pos, *values[:lead], f'"{entry.lemma}"']
+    tokens += [f'"{v.text}"' if v.state == _PRESENT else str(v) for v in values[lead:]]
     if entry.irregular:
         tokens.append("IRREG")
     return " ".join(tokens)

@@ -57,6 +57,23 @@ def test_load_sniffs_the_delimiter_below_a_header(tmp_path, header):
     assert fl.warnings == []
 
 
+@pytest.mark.parametrize(
+    "above", ["# counts\n", "\n", "# counts\n\n"], ids=["comment", "blank", "both"]
+)
+def test_load_takes_the_header_below_comments_and_blank_lines(tmp_path, above):
+    # the header is the first record, not the first line of the file
+    text = f"{above}rank lexeme count\n1\tcat\t10\n2\tcù\t1\n"
+    fl = load_frequency_list(_freq(tmp_path, text))
+    assert fl.rows == [(1, "cat", 10), (2, "cù", 1)]
+    assert fl.warnings == []
+
+
+def test_load_takes_only_one_header(tmp_path):
+    fl = load_frequency_list(_freq(tmp_path, "# counts\nrank\nlexeme\n1\tcat\t10\n"))
+    assert fl.rows == [(1, "cat", 10)]
+    assert fl.warnings == ["line 3: unparsable row 'lexeme'"]
+
+
 def test_load_warns_on_bad_rows_and_order(tmp_path):
     fl = load_frequency_list(
         _freq(tmp_path, "1\tagus\t10\n2\tbroken\n3\tcat\t20\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gdmorph import analysis, export, orthography, rules
+from gdmorph import analysis, export, orthography, rules, svf
 from gdmorph.export import (
     ASCII,
     DELIMITED,
@@ -17,7 +17,17 @@ from gdmorph.export import (
     render_paradigm,
     render_table,
 )
-from gdmorph.svf import ADJ, NOUN, NON_EXISTENT, UNKNOWN, VERB, Entry, parse_svf_line, part
+from gdmorph.svf import (
+    ADJ,
+    NOUN,
+    NON_EXISTENT,
+    UNKNOWN,
+    VERB,
+    Entry,
+    parse_svf_line,
+    part,
+    validate,
+)
 
 CONJUNCTS = [
     "(GR IS NULL AND",
@@ -49,6 +59,49 @@ def test_ddl_mysql_dialect_markers():
     assert "ENUM ('NOUN', 'VERB', 'ADJ')" in ddl
 
 
+_CHECK_LINES = (
+    "    CHECK (\n"
+    "      ((GR IS NULL AND\n"
+    "        NP IS NULL AND\n"
+    "        GS IS NULL)\n"
+    "            OR POS = 'NOUN' ) AND\n"
+    "      (VN IS NULL OR POS = 'VERB') AND\n"
+    "      (CP IS NULL OR POS = 'ADJ')\n"
+    "      )\n"
+    ");\n"
+)
+_PART_LINES = (
+    "    NP VARCHAR(35),\n"
+    "    GS VARCHAR(35),\n"
+    "    CP VARCHAR(35),\n"
+    "    VN VARCHAR(35),\n"
+)
+
+
+@pytest.mark.parametrize("dialect, expected", [
+    (export.MYSQL, (
+        "CREATE TABLE Facal(\n"
+        "    ID INT PRIMARY KEY AUTO_INCREMENT,\n"
+        "    Lemma VARCHAR(35) NOT NULL,\n"
+        "    IRREG BOOL DEFAULT FALSE,\n"
+        "    POS ENUM ('NOUN', 'VERB', 'ADJ') NOT NULL,\n"
+        "    GR ENUM ('M', 'F'),\n"
+        + _PART_LINES + _CHECK_LINES
+    )),
+    (export.PORTABLE, (
+        "CREATE TABLE Facal(\n"
+        "    ID INTEGER PRIMARY KEY,\n"
+        "    Lemma VARCHAR(35) NOT NULL,\n"
+        "    IRREG BOOL DEFAULT FALSE,\n"
+        "    POS VARCHAR(4) NOT NULL CHECK (POS IN ('NOUN', 'VERB', 'ADJ')),\n"
+        "    GR VARCHAR(1) CHECK (GR IN ('M', 'F')),\n"
+        + _PART_LINES + _CHECK_LINES
+    )),
+])
+def test_ddl_byte_for_byte(dialect, expected):
+    assert emit_ddl(dialect) == expected
+
+
 def test_portable_ddl_parses_in_sqlite():
     connection = sqlite3.connect(":memory:")
     connection.executescript(emit_ddl(dialect=export.PORTABLE))
@@ -65,6 +118,31 @@ def test_portable_check_constraint_enforced():
         connection.execute(
             "INSERT INTO Facal (Lemma, POS, VN) VALUES ('cat', 'NOUN', 'x')"
         )
+
+
+_FIELD_VALUES = st.sampled_from([None, part("facal"), UNKNOWN, NON_EXISTENT])
+
+
+@given(
+    pos=st.sampled_from(svf.PARTS_OF_SPEECH),
+    gender=st.sampled_from([None, *svf.GENDERS]),
+    parts=st.fixed_dictionaries({field: _FIELD_VALUES for field in svf.PART_FIELDS}),
+)
+def test_check_constraint_rejects_what_validate_forbids_unless_a_marker(pos, gender, parts):
+    """The INSERT fails exactly when validate reports a forbidden field
+    holding a gender or a word: a marker goes in as NULL, which the
+    CHECK allows, so only validate sees it where it does not belong."""
+    entry = Entry(lemma="facal", pos=pos, gender=gender, **parts)
+    forbidden = [v.field for v in validate(entry) if v.field not in svf.FIELDS_BY_POS[pos]]
+    expected = any(field == "gender" or getattr(entry, field).is_present for field in forbidden)
+    with closing(sqlite3.connect(":memory:")) as connection:
+        connection.executescript(emit_ddl(dialect=export.PORTABLE))
+        try:
+            connection.executescript(emit_inserts([entry]))
+            raised = False
+        except sqlite3.IntegrityError:
+            raised = True
+    assert raised == expected
 
 
 @pytest.fixture()

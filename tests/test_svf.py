@@ -96,6 +96,55 @@ def test_parse_rejects_malformed(line):
         parse_svf_line(line)
 
 
+# every tokenizer error, by the exact message it carries; a line with
+# one fault each, so the message does not depend on the order of checks
+@pytest.mark.parametrize("line, error, message", [
+    ("", SvfSyntaxError, "empty record"),
+    ('PRON "e"', SvfSyntaxError, "unknown part of speech: 'PRON'"),
+    ('"NOUN" M "cat" ? ?', SvfSyntaxError, "unknown part of speech: 'NOUN'"),
+    ("NOUN", ConstraintViolationError, "NOUN requires gender M or F, got ''"),
+    ('NOUN "cat" "cait" "cait"', ConstraintViolationError,
+     "NOUN requires gender M or F, got 'cat'"),
+    ('NOUN "M" "cat" ? ?', ConstraintViolationError, "NOUN requires gender M or F, got 'M'"),
+    ('VERB M "òl" "òl"', ConstraintViolationError, "gender is not allowed for VERB"),
+    ('ADJ F "mòr" "motha"', ConstraintViolationError, "gender is not allowed for ADJ"),
+    ('NOUN M "cat" "cait"', SvfSyntaxError, "NOUN record needs lemma, NP and GS, got 2 fields"),
+    ('NOUN M "cat" ? ? ?', SvfSyntaxError, "NOUN record needs lemma, NP and GS, got 4 fields"),
+    ("NOUN M IRREG", SvfSyntaxError, "NOUN record needs lemma, NP and GS, got 0 fields"),
+    ('VERB "òl"', SvfSyntaxError, "VERB record needs lemma and VN, got 1 fields"),
+    ('VERB "òl" "òl" IRREG IRREG', SvfSyntaxError, "VERB record needs lemma and VN, got 3 fields"),
+    ("ADJ", SvfSyntaxError, "ADJ record needs lemma and CP, got 0 fields"),
+    ('ADJ "mòr" ? ?', SvfSyntaxError, "ADJ record needs lemma and CP, got 3 fields"),
+    ("NOUN M cat ? ?", SvfSyntaxError, "lemma must be a quoted word"),
+    ('VERB òl "òl"', SvfSyntaxError, "lemma must be a quoted word"),
+    ("ADJ mòr ?", SvfSyntaxError, "lemma must be a quoted word"),
+    ('NOUN M "cat" cait ?', SvfSyntaxError, "expected quoted word, ? or - for NP, got 'cait'"),
+    ('NOUN M "cat" ? cait', SvfSyntaxError, "expected quoted word, ? or - for GS, got 'cait'"),
+    ('VERB "òl" òl', SvfSyntaxError, "expected quoted word, ? or - for VN, got 'òl'"),
+    ('ADJ "mòr" IRREG IRREG', SvfSyntaxError, "expected quoted word, ? or - for CP, got 'IRREG'"),
+    ('VERB "òl" "òl', SvfSyntaxError, "unterminated quote"),
+    ('VERB "òl" x"y', SvfSyntaxError, "stray quote in token 'x\"y'"),
+    ('VERB "òl""òl"', SvfSyntaxError, "missing space after quoted field"),
+    ('NOUN M "kat" ? ?', SvfSyntaxError, "invalid characters in lemma: 'kat'"),
+    ('NOUN M "cat" "kait" ?', SvfSyntaxError, "invalid characters in NP: 'kait'"),
+    ('NOUN M "cat" ? "kait"', SvfSyntaxError, "invalid characters in GS: 'kait'"),
+    ('VERB "òl" "kòl"', SvfSyntaxError, "invalid characters in VN: 'kòl'"),
+    ('ADJ "mòr" "k"', SvfSyntaxError, "invalid characters in CP: 'k'"),
+])
+def test_parse_error_messages(line, error, message):
+    with pytest.raises(error) as caught:
+        parse_svf_line(line)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("line", ['NOUN M "kat" cait ?', 'VERB "kòl" òl', 'ADJ "kx" x'])
+def test_parse_reports_the_first_bad_field(line):
+    # every part of speech reads its lemma before its parts
+    with pytest.raises(SvfSyntaxError, match="^invalid characters in lemma: "):
+        parse_svf_line(line)
+
+
 def test_parse_multiword_lemma():
     entry = parse_svf_line('VERB "cuir seachad" "cur seachad"')
     assert entry.lemma == "cuir seachad"
@@ -117,6 +166,13 @@ def test_serialize_requires_mandatory_parts():
         serialize_entry(Entry(lemma="cat", pos=NOUN, gender="M", np=part("cait")))
 
 
+def test_each_part_of_speech_fields_are_one_run_of_entry_fields():
+    # the readers and serialize_entry take them as one slice of an Entry
+    for pos, fields in svf.FIELDS_BY_POS.items():
+        start = Entry._fields.index(fields[0])
+        assert Entry._fields[start : start + len(fields)] == fields, pos
+
+
 def test_validate_clean_entry():
     assert validate(parse_svf_line(BATA_LINE)) == []
 
@@ -126,6 +182,31 @@ def test_validate_vn_on_adjective():
     violations = validate(entry)
     assert [v.field for v in violations] == ["vn"]
     assert violations[0].clause == "VN IS NULL OR POS = 'VERB'"
+
+
+@pytest.mark.parametrize("entry, field, clause", [
+    (Entry("mòr", ADJ, gender="M", cp=part("motha")), "gender",
+     "(GR IS NULL AND NP IS NULL AND GS IS NULL) OR POS = 'NOUN'"),
+    (Entry("òl", VERB, vn=part("òl"), gs=UNKNOWN), "gs",
+     "(GR IS NULL AND NP IS NULL AND GS IS NULL) OR POS = 'NOUN'"),
+    (Entry("cat", NOUN, gender="M", np=UNKNOWN, gs=UNKNOWN, vn=part("x")), "vn",
+     "VN IS NULL OR POS = 'VERB'"),
+    (Entry("òl", VERB, vn=part("òl"), cp=NON_EXISTENT), "cp", "CP IS NULL OR POS = 'ADJ'"),
+    (Entry("cat", NOUN, gender="M", gs=UNKNOWN), "np", "mandatory for NOUN"),
+    (Entry("òl", VERB), "vn", "mandatory for VERB"),
+    (Entry("mòr", ADJ), "cp", "mandatory for ADJ"),
+])
+def test_validate_clause_text(entry, field, clause):
+    assert validate(entry) == [svf.Violation(field, clause)]
+
+
+def test_validate_reports_forbidden_fields_before_missing_ones():
+    entry = Entry("cat", ADJ, gender="F", vn=UNKNOWN)
+    assert [str(v) for v in validate(entry)] == [
+        "gender: (GR IS NULL AND NP IS NULL AND GS IS NULL) OR POS = 'NOUN'",
+        "vn: VN IS NULL OR POS = 'VERB'",
+        "cp: mandatory for ADJ",
+    ]
 
 
 def test_validate_noun_missing_gender():
