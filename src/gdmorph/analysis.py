@@ -9,8 +9,9 @@ only by case or by an accent.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from . import orthography
@@ -51,9 +52,10 @@ def load_frequency_list(path) -> FrequencyList:
     Accepts three-column rank,lexeme,count rows or two-column
     lexeme,count rows (ranks assigned by position).  The delimiter is
     tab or comma, sniffed from the first data line.  The first line that
-    is not blank or a comment may be a header row, which is skipped;
-    malformed rows, ranks out of order and counts above the previous
-    row's are reported as warnings that name their line, not as errors.
+    is not blank or a comment is a header row, and skipped, when none of
+    its cells parses as an integer.  Other malformed rows, ranks out of
+    order and counts above the previous row's are reported as warnings
+    that name their line, not as errors.
     Lexemes are kept as found, dirty or not.
     """
     rows: list[tuple[int, str, int]] = []
@@ -70,7 +72,7 @@ def load_frequency_list(path) -> FrequencyList:
             if parsed is None:
                 if not rows:
                     delimiter = None  # no data line has fixed it yet
-                if index:  # the first record may be a header
+                if index or any(map(_is_int, cells)):  # a header has no number
                     warnings.append(f"line {number}: unparsable row {line!r}")
                 continue
             if rows:
@@ -88,6 +90,14 @@ def load_frequency_list(path) -> FrequencyList:
     if not rows:
         raise FormatError(f"no parsable rows in {path}")
     return FrequencyList(rows=rows, warnings=warnings)
+
+
+def _is_int(cell: str) -> bool:
+    try:
+        int(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _parse_row(cells: list[str], next_rank: int) -> tuple[int, str, int] | None:
@@ -155,12 +165,8 @@ def cumulative_coverage_curve(
     total = freq.total_tokens
     if total <= 0:
         raise TokenTotalError(f"token counts sum to {total}; shares need a positive total")
-    points = []
-    running = 0
-    for position in range(k):
-        running += freq.rows[position][2]
-        points.append((position + 1, running / total))
-    return points
+    counts = (count for _, _, count in freq.rows[:k])
+    return [(rank, running / total) for rank, running in enumerate(accumulate(counts), 1)]
 
 
 def _selected_part(entry: Entry, part_field: str):
@@ -191,15 +197,13 @@ def ending_histogram(
     """
     if suffix_len < 1:
         raise ValueError("suffix_len must be at least 1")
-    counts: dict[str, int] = {}
-    for entry in entries:
-        value = _selected_part(entry, part_field)
-        if value is None or not value.is_present:
-            continue
-        if len(value.text) - len(entry.lemma) < min_growth:
-            continue
-        ending = value.text[-suffix_len:]
-        counts[ending] = counts.get(ending, 0) + 1
+    counts = Counter(
+        value.text[-suffix_len:]
+        for entry in entries
+        if (value := _selected_part(entry, part_field)) is not None
+        and value.is_present
+        and len(value.text) - len(entry.lemma) >= min_growth
+    )
     return EndingHistogram(dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))))
 
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from functools import partial
+from operator import attrgetter
 
 from . import analysis, export, lexicon, orthography, rules, svf
 
@@ -90,42 +92,21 @@ def cmd_validate(args) -> int:
     vocab, errors = _load_vocab(args)
     for number, error in errors:
         print(f"line {number}: {error}")
-    totals: dict[str, int] = {}
-    irregular = 0
-    unknown: dict[str, int] = {}
-    non_existent: dict[str, int] = {}
-    nouns_incomplete = 0
-    for entry in vocab:
-        totals[entry.pos] = totals.get(entry.pos, 0) + 1
-        irregular += entry.irregular
-        incomplete = False
-        for name in svf.PART_FIELDS:
-            value = getattr(entry, name)
-            if value is None:
-                continue
-            if value.is_unknown:
-                unknown[name] = unknown.get(name, 0) + 1
-                incomplete = True
-            elif value.is_non_existent:
-                non_existent[name] = non_existent.get(name, 0) + 1
-        if entry.pos == svf.NOUN and incomplete:
-            nouns_incomplete += 1
+    by_pos = Counter(entry.pos for entry in vocab)
+    parts = {name: Counter(map(attrgetter(name), vocab)) for name in svf.PART_FIELDS}
     pairs = [("violations", str(len(errors)))]
-    for pos in svf.PARTS_OF_SPEECH:
-        pairs.append((pos.lower() + "s", str(totals.get(pos, 0))))
-    pairs.append(("irregular", str(irregular)))
+    pairs += [(pos.lower() + "s", str(by_pos[pos])) for pos in svf.PARTS_OF_SPEECH]
+    pairs.append(("irregular", str(sum(entry.irregular for entry in vocab))))
     for name in svf.PART_FIELDS:
-        pairs.append((
-            f"{name} unknown/non-existent",
-            f"{unknown.get(name, 0)}/{non_existent.get(name, 0)}",
-        ))
-    noun_total = totals.get(svf.NOUN, 0)
-    if noun_total:
-        share = 100.0 * nouns_incomplete / noun_total
-        pairs.append((
-            "nouns with unknown part",
-            f"{nouns_incomplete} ({share:.1f}%)",
-        ))
+        counts = f"{parts[name][svf.UNKNOWN]}/{parts[name][svf.NON_EXISTENT]}"
+        pairs.append((f"{name} unknown/non-existent", counts))
+    if by_pos[svf.NOUN]:
+        part_values = attrgetter(*svf.PART_FIELDS)
+        incomplete = sum(
+            svf.UNKNOWN in part_values(entry) for entry in vocab if entry.pos == svf.NOUN
+        )
+        share = 100.0 * incomplete / by_pos[svf.NOUN]
+        pairs.append(("nouns with unknown part", f"{incomplete} ({share:.1f}%)"))
     _report(args, pairs)
     return 0 if not errors else 2
 

@@ -10,6 +10,7 @@ an index over the word's candidate entries is enough.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from functools import cached_property
 
@@ -86,11 +87,11 @@ class AllFormsIndex:
     def forms_per_pos(self) -> dict[str, int]:
         """Distinct surface forms per part of speech; a spelling shared
         by two parts of speech counts under both."""
-        counts: dict[str, int] = {}
-        for analyses in self.form_index.values():
-            for pos in {entry.pos for entry, _ in analyses}:
-                counts[pos] = counts.get(pos, 0) + 1
-        return counts
+        return Counter(
+            pos
+            for analyses in self.form_index.values()
+            for pos in {entry.pos for entry, _ in analyses}
+        )
 
     @property
     def distinct_form_count(self) -> int:

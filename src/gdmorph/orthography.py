@@ -58,6 +58,13 @@ _LETTER_CLASS = "".join(sorted(_GAELIC_LETTERS | {c.upper() for c in _GAELIC_LET
 WORD_PATTERN = "(?=[' -]*[{L}])[{L}'-](?:[{L}' -]*[{L}'-])?".format(L=_LETTER_CLASS)
 _WORD = re.compile(WORD_PATTERN)
 
+# runs of letters and of vowels, and the last vowel run with the non-vowels
+# after it up to the very end (\Z, as $ also matches before a final "\n")
+_VOWEL_CLASS = VOWELS + VOWELS.upper()
+_LETTER_RUN = re.compile(f"[{_LETTER_CLASS}]+")
+_VOWEL_RUN = re.compile(f"[{_VOWEL_CLASS}]+")
+_FINAL_VOWEL_GROUP = re.compile(f"([{_VOWEL_CLASS}]+)[^{_VOWEL_CLASS}]*\\Z")
+
 _PROTHETIC_PREFIXES = ("t-", "n-", "h-")
 
 
@@ -197,17 +204,12 @@ def strip_prothesis(word: str) -> str:
 def _final_vowel_group(word: str) -> tuple[int, int]:
     """Indices [start, end) of the last vowel group, which must be
     followed by at least one consonant."""
-    end = len(word) - 1
-    while end >= 0 and not is_vowel(word[end]):
-        end -= 1
-    if end < 0:
+    match = _FINAL_VOWEL_GROUP.search(word)
+    if match is None:
         raise NotSlenderizableError(f"no vowel in {word!r}")
-    if end == len(word) - 1:
+    if match.end(1) == len(word):
         raise NotSlenderizableError(f"{word!r} ends in a vowel")
-    start = end
-    while start >= 0 and is_vowel(word[start]):
-        start -= 1
-    return start + 1, end + 1
+    return match.span(1)
 
 
 def slenderize(word: str) -> str:
@@ -256,30 +258,9 @@ def satisfies_vowel_harmony(word: str) -> bool:
     hyphen/apostrophe-free segment), the flanking vowels must share a
     vowel class.
     """
-    for segment in _letter_segments(word):
-        previous = None
-        index = 0
-        while index < len(segment):
-            if is_vowel(segment[index]):
-                if previous is not None and vowel_class(segment[index]) != previous:
-                    return False
-                while index < len(segment) and is_vowel(segment[index]):
-                    index += 1
-                previous = vowel_class(segment[index - 1])
-            else:
-                index += 1
+    for segment in _LETTER_RUN.findall(word):
+        groups = _VOWEL_RUN.findall(segment)
+        for left, right in zip(groups, groups[1:]):
+            if vowel_class(left[-1]) != vowel_class(right[0]):
+                return False
     return True
-
-
-def _letter_segments(word: str) -> list[str]:
-    segments = []
-    current = []
-    for ch in word:
-        if ch.lower() in _GAELIC_LETTERS:
-            current.append(ch)
-        elif current:
-            segments.append("".join(current))
-            current = []
-    if current:
-        segments.append("".join(current))
-    return segments

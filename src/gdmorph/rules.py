@@ -30,6 +30,7 @@ each form code), and every entry with that key runs it once.
 from __future__ import annotations
 
 import os
+import re
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -277,21 +278,18 @@ def _parse_matcher(text: str, number: int) -> Rule:
     return Rule(pos, gender, irregular, lemma_is, derivations={})
 
 
+# a quoted stretch, to the end of the text if the quote is not closed,
+# or a separator; finditer skips the separators inside quotes
+_QUOTED_OR_SEPARATOR = {sep: re.compile(f'"[^"]*"?|{re.escape(sep)}') for sep in ";|"}
+
+
 def _split_outside_quotes(text: str, separator: str) -> list[str]:
-    parts = []
-    current = []
-    in_quotes = False
-    for ch in text:
-        if ch == '"':
-            in_quotes = not in_quotes
-            current.append(ch)
-        elif ch == separator and not in_quotes:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
+    parts, start = [], 0
+    for match in _QUOTED_OR_SEPARATOR[separator].finditer(text):
+        if match.group() == separator:
+            parts.append(text[start : match.start()])
+            start = match.end()
+    return parts + [text[start:]]
 
 
 def _parse_expression(text: str, target: str, pos: str, number: int) -> Derivation:

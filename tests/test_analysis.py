@@ -2,10 +2,13 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gdmorph import rules, svf
 from gdmorph.analysis import (
     FormatError,
+    FrequencyList,
     RangeError,
     TokenTotalError,
     count_suffix_pattern,
@@ -94,6 +97,63 @@ def test_load_empty_file_raises(tmp_path):
         load_frequency_list(_freq(tmp_path, ""))
 
 
+def test_load_warns_on_a_broken_first_row(tmp_path):
+    # a first record with a number in it is data, not a header
+    fl = load_frequency_list(_freq(tmp_path, "# counts\n1\tcat\n2\tdog\t5\n"))
+    assert fl.rows == [(2, "dog", 5)]
+    assert fl.warnings == ["line 2: unparsable row '1\\tcat'"]
+
+
+_CELL_WORDS = st.text(alphabet="abcgilnorstuàòÀ", min_size=1, max_size=6)
+_CELL_NUMBERS = st.integers(0, 10**6).map(str)
+_FILLER = st.sampled_from(["", "   ", "\t", "# counts", "#1\tcat\t5", "  # rank,lexeme"])
+# a record's cells: valid 2- and 3-column rows, word-only rows and broken
+# rows come from the same draw, told apart by which cells are numbers
+_RECORD = st.lists(st.one_of(_CELL_WORDS, _CELL_NUMBERS), min_size=1, max_size=4)
+
+
+def _expected_row(cells: list[str], next_rank: int):
+    if len(cells) == 3 and cells[0].isdigit() and cells[2].isdigit():
+        return int(cells[0]), cells[1], int(cells[2])
+    if len(cells) == 2 and cells[1].isdigit():
+        return next_rank, cells[0], int(cells[1])
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    delimiter=st.sampled_from(["\t", ","]),
+    header=st.none() | st.lists(_CELL_WORDS, min_size=1, max_size=3),
+    items=st.lists(st.one_of(_FILLER, _RECORD), max_size=12),
+)
+def test_every_record_is_a_row_or_a_warning_naming_its_line(
+    tmp_path_factory, delimiter, header, items
+):
+    lines = ([] if header is None else [header]) + items
+    text = "".join(
+        (item if isinstance(item, str) else delimiter.join(item)) + "\n" for item in lines
+    )
+    rows, unparsable, first = [], [], True
+    for number, item in enumerate(lines, start=1):
+        if isinstance(item, str):
+            continue
+        row = _expected_row(item, len(rows) + 1)
+        if row is not None:
+            rows.append(row)
+        elif not (first and not any(cell.isdigit() for cell in item)):  # not a header
+            unparsable.append(f"line {number}: unparsable row {delimiter.join(item)!r}")
+        first = False
+    path = tmp_path_factory.mktemp("freq") / "list.tsv"
+    path.write_text(text, encoding="utf-8")
+    if not rows:
+        with pytest.raises(FormatError):
+            load_frequency_list(path)
+        return
+    fl = load_frequency_list(path)
+    assert fl.rows == rows
+    assert [w for w in fl.warnings if ": unparsable row " in w] == unparsable
+
+
 def test_coverage_hand_computed_oracle(tmp_path):
     fl = load_frequency_list(_freq(tmp_path, "1\ta\t10\n2\tb\t5\n3\tc\t3\n4\td\t2\n"))
     report = coverage(fl, {"a", "c"})
@@ -162,6 +222,19 @@ def test_cumulative_curve_hand_computed(tmp_path):
     full = cumulative_coverage_curve(fl, 4)
     assert full[-1] == (4, 1.0)
     assert all(full[i][1] <= full[i + 1][1] for i in range(len(full) - 1))
+
+
+@given(st.lists(st.integers(0, 10**15), min_size=1, max_size=40), st.data())
+def test_cumulative_curve_equals_the_running_sum_loop(counts, data):
+    assume(sum(counts) > 0)
+    fl = FrequencyList([(rank, f"w{rank}", count) for rank, count in enumerate(counts, 1)])
+    k = data.draw(st.integers(1, len(counts)))
+    points = []
+    running = 0
+    for position in range(k):
+        running += fl.rows[position][2]
+        points.append((position + 1, running / fl.total_tokens))
+    assert cumulative_coverage_curve(fl, k) == points
 
 
 def test_cumulative_curve_range_errors(tmp_path):

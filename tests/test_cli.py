@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gdmorph import lexicon, rules
 from gdmorph.cli import build_parser, main
 
@@ -288,6 +290,14 @@ def test_frequency_list_without_a_parsable_row_exits_2(capsys, tmp_path):
     assert err == f"no parsable rows in {path}\n"
 
 
+def test_broken_first_row_of_a_frequency_list_is_warned_about(capsys, tmp_path):
+    path = tmp_path / "broken.tsv"
+    path.write_text("1\tcat\n2\tdog\t5\n", encoding="utf-8")
+    code, out, err = run(capsys, "stats", "hapax", "--freq", str(path))
+    assert (code, out) == (0, "hapax\t0\n")
+    assert err == f"{path}: line 1: unparsable row '1\\tcat'\n"
+
+
 def test_stats_needs_freq(capsys):
     code, _, err = run(capsys, "stats", "zipf")
     assert code == 2 and "--freq" in err
@@ -538,3 +548,87 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
         [sys.executable, "-S", "-c", check], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+# every part of speech, IRREG, both markers in every part field, a noun
+# with two unknown parts, and one bad line
+_VALIDATE_MIX = """\
+# a comment, skipped
+NOUN M "cat" "cait" "cait"
+NOUN F "sgoil" ? -
+NOUN M "bàta" - ?
+NOUN M "ceann" ? ?
+NOUN F "bròg" "brògan" "bròige" IRREG
+VERB "òl" "òl"
+VERB "fàg" ?
+VERB "bi" - IRREG
+ADJ "mòr" "motha"
+ADJ "beag" ?
+ADJ "math" - IRREG
+VERB M "ith" "ithe"
+"""
+
+_VALIDATE_MIX_TABLE = """\
+line 13: gender is not allowed for VERB
+violations               1
+nouns                    5
+verbs                    3
+adjs                     3
+irregular                3
+np unknown/non-existent  2/1
+gs unknown/non-existent  2/1
+vn unknown/non-existent  1/1
+cp unknown/non-existent  1/1
+nouns with unknown part  3 (60.0%)
+"""
+
+
+_VALIDATE_MIX_TSV = """\
+line 13: gender is not allowed for VERB
+violations\t1
+nouns\t5
+verbs\t3
+adjs\t3
+irregular\t3
+np unknown/non-existent\t2/1
+gs unknown/non-existent\t2/1
+vn unknown/non-existent\t1/1
+cp unknown/non-existent\t1/1
+nouns with unknown part\t3 (60.0%)
+"""
+
+
+@pytest.mark.parametrize(
+    "fmt, expected", [("table", _VALIDATE_MIX_TABLE), ("tsv", _VALIDATE_MIX_TSV)]
+)
+def test_validate_prints_the_whole_summary(capsys, tmp_path, fmt, expected):
+    path = tmp_path / "mix.svf"
+    path.write_text(_VALIDATE_MIX, encoding="utf-8")
+    assert run(capsys, "--vocab", str(path), "--format", fmt, "validate") == (2, expected, "")
+
+
+def test_validate_without_nouns_leaves_out_the_noun_line(capsys, tmp_path):
+    path = tmp_path / "verbs.svf"
+    path.write_text('VERB "òl" "òl"\nVERB "fàg" ?\n', encoding="utf-8")
+    code, out, _ = run(capsys, "--vocab", str(path), "--format", "tsv", "validate")
+    assert code == 0
+    assert out.splitlines() == [
+        "violations\t0",
+        "nouns\t0",
+        "verbs\t2",
+        "adjs\t0",
+        "irregular\t0",
+        "np unknown/non-existent\t0/0",
+        "gs unknown/non-existent\t0/0",
+        "vn unknown/non-existent\t1/0",
+        "cp unknown/non-existent\t0/0",
+    ]
+
+
+def test_recognize_lists_analyses_in_forms_by_pos_order(capsys):
+    # rules.FORMS_BY_POS order, not conjugate's rows, which put IMP2S first
+    code, out, _ = run(capsys, "--vocab", VOCAB, "recognize", "òl")
+    assert code == 0
+    assert out == "òl\tVERB\tVN\nòl\tVERB\tFUT_DEP\nòl\tVERB\tIMP2S\n"
+    codes = [line.split("\t")[2] for line in out.splitlines()]
+    assert codes == [form for form in rules.FORMS_BY_POS["VERB"] if form in codes]

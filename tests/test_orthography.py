@@ -1,8 +1,9 @@
 import random
+import sys
 import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdmorph import orthography as orth
@@ -289,3 +290,86 @@ def test_fold_key_matches_translate_reference(word, policy):
         orth.FOLD_ACCENTS_CASE: word.translate(orth._STRIP_ACCENTS).casefold(),
     }[policy]
     assert orth.fold_key(word, policy) == reference
+
+
+# The index walks the compiled patterns replaced, kept verbatim as the
+# references they are checked against.
+def _reference_letter_segments(word: str) -> list[str]:
+    segments = []
+    current = []
+    for ch in word:
+        if ch.lower() in orth._GAELIC_LETTERS:
+            current.append(ch)
+        elif current:
+            segments.append("".join(current))
+            current = []
+    if current:
+        segments.append("".join(current))
+    return segments
+
+
+def _reference_satisfies_vowel_harmony(word: str) -> bool:
+    for segment in _reference_letter_segments(word):
+        previous = None
+        index = 0
+        while index < len(segment):
+            if orth.is_vowel(segment[index]):
+                if previous is not None and orth.vowel_class(segment[index]) != previous:
+                    return False
+                while index < len(segment) and orth.is_vowel(segment[index]):
+                    index += 1
+                previous = orth.vowel_class(segment[index - 1])
+            else:
+                index += 1
+    return True
+
+
+def _reference_final_vowel_group(word: str) -> tuple[int, int]:
+    end = len(word) - 1
+    while end >= 0 and not orth.is_vowel(word[end]):
+        end -= 1
+    if end < 0:
+        raise orth.NotSlenderizableError(f"no vowel in {word!r}")
+    if end == len(word) - 1:
+        raise orth.NotSlenderizableError(f"{word!r} ends in a vowel")
+    start = end
+    while start >= 0 and orth.is_vowel(word[start]):
+        start -= 1
+    return start + 1, end + 1
+
+
+def _outcome(function, word):
+    try:
+        return function(word)
+    except orth.MorphologyError as exc:
+        return type(exc), str(exc)
+
+
+# the alphabet in both cases with all accents, the word-internal marks,
+# space, newline, digits, letters outside the alphabet and two code
+# points whose lower case is or contains a Gaelic letter (İ -> i̇, K -> k)
+_SCANNED = st.text(
+    alphabet="abcdefghilmnoprstuAEIOUBCSàèìòùáéíóúÀÈÌÒÙÁÉÍÓÚ'- \n0123kxyzİK",
+    max_size=16,
+)
+
+
+@settings(max_examples=1000)
+@given(_SCANNED)
+def test_vowel_harmony_matches_the_index_walk(word):
+    assert satisfies_vowel_harmony(word) == _reference_satisfies_vowel_harmony(word)
+
+
+@settings(max_examples=1000)
+@given(_SCANNED)
+def test_final_vowel_group_matches_the_index_walk(word):
+    assert _outcome(orth._final_vowel_group, word) == _outcome(_reference_final_vowel_group, word)
+
+
+def test_pattern_classes_hold_exactly_what_the_predicates_accept():
+    # the letter and vowel runs are character classes of these strings
+    characters = [chr(point) for point in range(sys.maxunicode + 1)]
+    letters = {ch for ch in characters if ch.lower() in orth._GAELIC_LETTERS}
+    vowels = {ch for ch in characters if orth.is_vowel(ch)}
+    assert letters == set(orth._LETTER_CLASS)
+    assert vowels == set(orth.VOWELS + orth.VOWELS.upper())

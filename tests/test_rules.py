@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdmorph import orthography, rules, svf
 from gdmorph.rules import (
@@ -392,3 +394,35 @@ def test_adjective_paradigm(ruleset):
     assert inflect(entry, "CP", ruleset) == ["motha"]
     assert inflect(entry, "POS_LENITED", ruleset) == ["mhòr"]
     assert all_surface_forms(entry, ruleset) == {"mòr", "motha", "mhòr"}
+
+
+def _reference_split_outside_quotes(text: str, separator: str) -> list[str]:
+    # the character walk the compiled pattern replaced, kept verbatim
+    parts = []
+    current = []
+    in_quotes = False
+    for ch in text:
+        if ch == '"':
+            in_quotes = not in_quotes
+            current.append(ch)
+        elif ch == separator and not in_quotes:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    return parts
+
+
+@settings(max_examples=1000)
+@given(st.text(alphabet='ab";| :+\n', max_size=16), st.sampled_from(";|"))
+def test_split_outside_quotes_matches_the_character_walk(text, separator):
+    # unclosed quotes included: a quote left open keeps every separator after it
+    assert rules._split_outside_quotes(text, separator) == _reference_split_outside_quotes(
+        text, separator
+    )
+
+
+def test_a_separator_inside_a_suffix_pair_does_not_split():
+    assert rules._split_outside_quotes('NP: NS+"an|ean" | NS', "|") == ['NP: NS+"an|ean" ', " NS"]
+    assert rules._split_outside_quotes('a;"b;c', ";") == ["a", '"b;c']
