@@ -64,7 +64,9 @@ class Vocabulary:
 
 class AllFormsIndex:
     """Surface form -> its (entry, form code) analyses in recognize
-    order, over a whole vocabulary."""
+    order, over a whole vocabulary.  Every key is canonical text
+    (orthography.canonical leaves it unchanged), so recognize can probe
+    with a word as written before canonicalizing it."""
 
     def __init__(self, fold_policy: str = EXACT):
         self.fold_policy = fold_policy
@@ -182,8 +184,10 @@ def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> Vocabular
     return Vocabulary(found, fold_policy=policy)
 
 
-def _exact_or_folded(index: AllFormsIndex, word: str) -> Sequence[tuple[Entry, str]]:
-    hits = index.form_index.get(word)
+def _exact_or_folded(
+    index: AllFormsIndex, word: str, exact: bool = True
+) -> Sequence[tuple[Entry, str]]:
+    hits = index.form_index.get(word) if exact else None
     if hits is None and index.fold_policy != EXACT:
         hits = index._folded.get(fold_key(word, index.fold_policy))
     return hits or ()
@@ -192,16 +196,23 @@ def _exact_or_folded(index: AllFormsIndex, word: str) -> Sequence[tuple[Entry, s
 def recognize(index: AllFormsIndex, word: str) -> list[tuple[Entry, str]]:
     """All (entry, form code) analyses of a word found in text.
 
-    Tries the word as written, then with prothetic t-/n-/h-/dh'
-    stripped, folding accents according to the index policy.  The result
-    is naturally many-valued: one spelling can realize several forms.
+    Tries the word as written, then its canonical spelling, then that
+    spelling with accents folded according to the index policy, and
+    last the same with prothetic t-/n-/h-/dh' stripped.  The first
+    probe gives the answers of the second only because every surface of
+    the index is canonical (orthography.canonical leaves it unchanged),
+    as the SVF loader and the rule parser guarantee; an Entry built by
+    hand must hold canonical text too.  The result is naturally
+    many-valued: one spelling can realize several forms.
     """
-    query = orthography.canonical(word)
-    hits = _exact_or_folded(index, query)
-    if not hits:
-        stripped = orthography.strip_prothesis(query)
-        if stripped != query:
-            hits = _exact_or_folded(index, stripped)
+    hits = index.form_index.get(word)
+    if hits is None:
+        query = orthography.canonical(word)
+        hits = _exact_or_folded(index, query, exact=query != word)
+        if not hits:
+            stripped = orthography.strip_prothesis(query)
+            if stripped != query:
+                hits = _exact_or_folded(index, stripped)
     return list(hits)
 
 

@@ -65,7 +65,8 @@ _LETTER_RUN = re.compile(f"[{_LETTER_CLASS}]+")
 _VOWEL_RUN = re.compile(f"[{_VOWEL_CLASS}]+")
 _FINAL_VOWEL_GROUP = re.compile(f"([{_VOWEL_CLASS}]+)[^{_VOWEL_CLASS}]*\\Z")
 
-_PROTHETIC_PREFIXES = ("t-", "n-", "h-")
+# one layer of prothetic t-, n-, h- or dh', each letter in either case
+_PROTHESIS = re.compile("[tTnNhH]-|[dD][hH]['’]")
 
 
 class MorphologyError(ValueError):
@@ -192,13 +193,8 @@ def glottal_past_prefix(word: str) -> str:
 
 def strip_prothesis(word: str) -> str:
     """Remove one layer of prothetic t-, n-, h- or dh' from the front."""
-    lowered = word.lower()
-    for prefix in _PROTHETIC_PREFIXES:
-        if lowered.startswith(prefix):
-            return word[2:]
-    if lowered.startswith("dh'") or lowered.startswith("dh’"):
-        return word[3:]
-    return word
+    match = _PROTHESIS.match(word)
+    return word if match is None else word[match.end():]
 
 
 def _final_vowel_group(word: str) -> tuple[int, int]:

@@ -305,11 +305,17 @@ def _parse_expression(text: str, target: str, pos: str, number: int) -> Derivati
             raise RuleSyntaxError(
                 f"line {number}: suffix for {target} must be quoted"
             )
-        halves = pair[1:-1].split("|")
+        halves = [orthography.canonical(half) for half in pair[1:-1].split("|")]
         if len(halves) != 2 or not halves[0] or not halves[1]:
             raise RuleSyntaxError(
                 f'line {number}: suffix must be a "broad|slender" pair'
             )
+        for half in halves:
+            # a surface must be canonical Gaelic text for recognize to find it
+            if not orthography.is_gaelic_word(half):
+                raise RuleSyntaxError(
+                    f"line {number}: suffix {half!r} is not a Gaelic word"
+                )
         suffix = SuffixAlternation(halves[0], halves[1])
         expr = head.strip()
 

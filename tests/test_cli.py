@@ -416,6 +416,28 @@ def test_bad_selector_in_rule_file_exits_2(capsys, tmp_path):
     assert code == 2 and "bad rule file: line 1" in err
 
 
+def test_every_surface_expand_writes_is_recognized(capsys, tmp_path):
+    vocab = tmp_path / "mor.svf"
+    vocab.write_text('ADJ "mor" ?\n', encoding="utf-8")
+    # a decomposed grave and a curly apostrophe in the suffixes
+    custom = tmp_path / "noncanonical.grl"
+    custom.write_text('* ADJ\nCP: LEMMA+"a\u0300n|ean"; POS_ADJ: LEMMA+"an\u2019|ean"\n', encoding="utf-8")
+    code, out, _ = run(capsys, "--vocab", str(vocab), "--rules", str(custom), "expand")
+    assert code == 0 and out.splitlines() == ["mor", "moran'", "moràn"]
+    for surface in out.splitlines():
+        code, out, err = run(capsys, "--vocab", str(vocab), "--rules", str(custom), "recognize", surface)
+        assert (code, err) == (0, ""), surface
+        assert out.startswith("mor\tADJ\t"), surface
+
+
+def test_suffix_outside_the_alphabet_exits_2_naming_its_line(capsys, tmp_path):
+    custom = tmp_path / "digit.grl"
+    custom.write_text('* ADJ\nPOS_ADJ: LEMMA\nCP: LEMMA+"an1|ean"\n', encoding="utf-8")
+    code, out, err = run(capsys, "--vocab", VOCAB, "--rules", str(custom), "expand")
+    assert (code, out) == (2, "")
+    assert err == "bad rule file: line 3: suffix 'an1' is not a Gaelic word\n"
+
+
 # a Latin-1 "à" or "ù" is one byte that no UTF-8 sequence starts with
 def test_non_utf8_vocabulary_exits_2_naming_file_and_line(capsys, tmp_path):
     vocab = tmp_path / "latin1.svf"

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import unicodedata
 from functools import cached_property
 from pathlib import Path
 
@@ -384,7 +385,8 @@ def test_recognize_matches_the_set_based_reference(ruleset, lines, policy, other
     assert list(index.form_index) == list(reference.form_index)
     for surface in sorted(index.forms()) + others:
         for word in [surface, orthography.normalize_accents(surface, orthography.STRIP_ALL),
-                     surface.upper(), "t-" + surface, "h-" + surface, "dh'" + surface]:
+                     surface.upper(), "t-" + surface, "h-" + surface, "dh'" + surface,
+                     unicodedata.normalize("NFD", surface), "dh’" + surface, "T-" + surface]:
             analyses = recognize(index, word)
             assert analyses == _reference_recognize(reference, word), word
             assert len(set(analyses)) == len(analyses), word

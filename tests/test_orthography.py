@@ -373,3 +373,38 @@ def test_pattern_classes_hold_exactly_what_the_predicates_accept():
     vowels = {ch for ch in characters if orth.is_vowel(ch)}
     assert letters == set(orth._LETTER_CLASS)
     assert vowels == set(orth.VOWELS + orth.VOWELS.upper())
+
+
+# The prefix loop the compiled prothesis pattern replaced, kept verbatim
+# as the reference it is checked against.
+def _reference_strip_prothesis(word: str) -> str:
+    lowered = word.lower()
+    for prefix in ("t-", "n-", "h-"):
+        if lowered.startswith(prefix):
+            return word[2:]
+    if lowered.startswith("dh'") or lowered.startswith("dh’"):
+        return word[3:]
+    return word
+
+
+# the alphabet in both cases, the prefix marks and two code points whose
+# lower case is or contains a Latin letter (U+0130 -> i̇, U+212A -> k)
+_PROTHETIC = st.text(
+    alphabet="abcdefghilmnoprstuABCDEFGHILMNOPRSTUàòÀÒ-'’\u0130\u212a",
+    max_size=8,
+)
+
+
+@settings(max_examples=2000)
+@given(_PROTHETIC)
+def test_strip_prothesis_matches_the_prefix_loop(word):
+    assert strip_prothesis(word) == _reference_strip_prothesis(word)
+
+
+# each rest completes a prefix after a first character whose lower case
+# is a prefix letter, or the start of a prefix
+@pytest.mark.parametrize("rest", ["", "-x", "h'x", "h’x", "'x", "’x"])
+def test_strip_prothesis_matches_the_prefix_loop_on_every_first_character(rest):
+    words = [chr(point) + rest for point in range(sys.maxunicode + 1)]
+    differ = [word for word in words if strip_prothesis(word) != _reference_strip_prothesis(word)]
+    assert differ == []

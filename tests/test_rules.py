@@ -84,6 +84,20 @@ def test_parse_comments_and_blank_lines():
     assert list(ruleset.rules[0].derivations) == ["CP"]
 
 
+def test_suffix_halves_are_canonical():
+    # a decomposed grave and a curly apostrophe, as an editor may save them
+    ruleset = parse_rules('* ADJ\nCP: LEMMA+"a\u0300n|ean\u2019"\n')
+    assert ruleset.rules[0].derivations["CP"][0].suffix == ("àn", "ean'")
+
+
+@pytest.mark.parametrize("half", ["an1", "\u0300an", "ak", " an", "-", "an\u00a0"])
+def test_a_suffix_outside_the_alphabet_names_its_line(half):
+    with pytest.raises(RuleSyntaxError, match=r"^line 3: suffix .* is not a Gaelic word$"):
+        parse_rules(f'* ADJ\nPOS_ADJ: LEMMA\nCP: LEMMA+"{half}|ean"\n')
+    with pytest.raises(RuleSyntaxError, match="^line 2: "):
+        parse_rules(f'* ADJ\nCP: LEMMA+"an|{half}"\n')
+
+
 @pytest.mark.parametrize(("text", "error"), [
     ("NS: NS\n", RuleSyntaxError),                  # derivation before *
     ("* CAT\nNS: NS\n", RuleSyntaxError),           # no part of speech
