@@ -142,35 +142,26 @@ def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> Vocabular
     word as the whole vocabulary's.
 
     Every surface is the lemma or a principal part with a suffix
-    alternant attached, then lenited or given the dh' prefix, or the
-    lenited allomorph of such a form.  Only those prefix steps are
-    undone here, on the folded word and again on each result.  A suffix
-    only appends (a vowel doubled at the boundary is written once, so
-    the part is still whole), and folding maps each character on its
-    own, so the folded text of the part a surface came from is a prefix
-    of one of the results.  SL/ has no such inverse: a rule set that
-    uses it gives every entry.
+    alternant attached, then transformed, or the lenited allomorph of
+    such a form.  The folded word is closed under the inverses of the
+    transforms (ruleset.inverses, declared beside rules._TRANSFORMS).
+    A suffix only appends (a vowel doubled at the boundary is written
+    once, so the part is still whole), and folding maps each character
+    on its own, so the folded text of the part a surface came from is a
+    prefix of one of the results.  A rule set using a transform with no
+    inverse gives every entry.
     """
     policy = vocabulary.fold_policy
-    if any(
-        "SL" in derivation.transforms
-        for rule in ruleset.rules
-        for alternatives in rule.derivations.values()
-        for derivation in alternatives
-    ):
+    if ruleset.inverses is None:
         return Vocabulary(vocabulary.entries, fold_policy=policy)
     query = orthography.canonical(word)
     stems: set[str] = set()
     todo = [fold_key(query, policy), fold_key(orthography.strip_prothesis(query), policy)]
     while todo:
         stem = todo.pop()
-        if stem in stems:
-            continue
-        stems.add(stem)
-        if stem.startswith("dh'"):
-            todo.append(stem[3:])
-        if stem[1:2] in ("h", "H"):
-            todo.append(stem[:1] + stem[2:])
+        if stem not in stems:
+            stems.add(stem)
+            todo += [inverse(stem) for inverse in ruleset.inverses]
     prefixes = {stem[:end] for stem in stems for end in range(1, len(stem) + 1)}
     found = []
     for entry in vocabulary:

@@ -75,10 +75,13 @@ _SOURCES_BY_POS = {
     for pos, fields in svf.FIELDS_BY_POS.items()
 }
 
+# each transform with its inverse on folded text, which undoes what the
+# transform writes at the front of a word, for lexicon.candidates; DH's
+# lenition is H's to undo, and SL, which changes a word inside, has none
 _TRANSFORMS = {
-    "H": orthography.lenite,
-    "DH": orthography.glottal_past_prefix,
-    "SL": orthography.slenderize,
+    "H": (orthography.lenite, lambda text: text[:1] + text[2:] if text[1:2] in ("h", "H") else text),
+    "DH": (orthography.glottal_past_prefix, lambda text: text[3:] if text.startswith("dh'") else text),
+    "SL": (orthography.slenderize, None),
 }
 
 BUNDLED_RULES = os.path.join(os.path.dirname(__file__), "data", "rules.grl")
@@ -167,6 +170,12 @@ class RuleSet:
         self.rules = rules
         self._named = frozenset(rule.lemma_is for rule in rules if rule.lemma_is)
         self._table: dict[tuple, Selection] = {}
+        # every inverse, as a noun's lenited allomorph needs no H/ in any
+        # rule; None when a transform that the rules use has none
+        used = {name for rule in rules for alternatives in rule.derivations.values()
+                for derivation in alternatives for name in derivation.transforms}
+        inverses = [inverse for name, (_, inverse) in _TRANSFORMS.items() if inverse or name in used]
+        self.inverses = None if None in inverses else tuple(inverses)
 
     def select(self, entry: Entry) -> Selection:
         """The compiled rules for the entry's selector key."""
@@ -214,17 +223,18 @@ def _plan(pos: str, matched: bool, derivations: dict) -> Selection:
             if derivation.suffix is not None:
                 value = step(value, orthography.attach_suffix, derivation.suffix)
             for name in reversed(derivation.transforms):
-                value = step(value, _TRANSFORMS[name])
+                value = step(value, _TRANSFORMS[name][0])
             ends.append(value)
         forms[code] = tuple(ends)
 
     allomorphs = ()
     if pos == NOUN:
-        lenited = {value for (_, function, _), value in steps.items() if function is orthography.lenite}
+        lenite, _ = _TRANSFORMS["H"]
+        lenited = {value for (_, function, _), value in steps.items() if function is lenite}
         # the lemma first, then each value that some form code ends in
         values = dict.fromkeys([sources[LEMMA], *(v for ends in forms.values() for v in ends)])
         allomorphs = tuple(
-            (value, step(value, orthography.lenite)) for value in values if value not in lenited
+            (value, step(value, lenite)) for value in values if value not in lenited
         )
     # the allomorphs add steps, so the step tuple is taken last
     return Selection(matched, tuple(sources), tuple(steps), forms, allomorphs)
@@ -264,6 +274,8 @@ def _parse_matcher(text: str, number: int) -> Rule:
             if not (len(value) > 2 and value[0] == '"' and value[-1] == '"'):
                 raise RuleSyntaxError(f'line {number}: LEMMA needs a quoted word')
             lemma_is = orthography.canonical(value[1:-1])
+            if not orthography.is_gaelic_word(lemma_is):
+                raise RuleSyntaxError(f"line {number}: LEMMA {lemma_is!r} is not a Gaelic word")
         else:
             raise RuleSyntaxError(f"line {number}: unknown predicate {pred!r}")
     if pos is None:

@@ -68,7 +68,9 @@ def rule_files(draw, pool):
     for _ in range(draw(st.integers(0, 2))):
         pos = draw(st.sampled_from([NOUN, VERB, ADJ]))
         irregular = " & IRREG" if draw(st.booleans()) else ""
-        blocks.append((f'* {pos}{irregular} & LEMMA="{draw(st.sampled_from(pool))}"', pos))
+        # a LEMMA= value that is not a Gaelic word is a syntax error
+        lemma = draw(st.sampled_from(pool).filter(orthography.is_gaelic_word))
+        blocks.append((f'* {pos}{irregular} & LEMMA="{lemma}"', pos))
     for pos in (NOUN, VERB, ADJ):
         gender = " & " + draw(st.sampled_from(GENDERS)) if pos == NOUN and draw(st.booleans()) else ""
         blocks.append((f"* {pos}{gender}", pos))

@@ -438,6 +438,15 @@ def test_suffix_outside_the_alphabet_exits_2_naming_its_line(capsys, tmp_path):
     assert err == "bad rule file: line 3: suffix 'an1' is not a Gaelic word\n"
 
 
+@pytest.mark.parametrize("value", ["cat1", 'a"b'])
+def test_lemma_outside_the_alphabet_exits_2_naming_its_line(capsys, tmp_path, value):
+    custom = tmp_path / "lemma.grl"
+    custom.write_text(f'* NOUN & IRREG & LEMMA="{value}"\nNS: NS\n* NOUN\nNS: NS\n', encoding="utf-8")
+    code, out, err = run(capsys, "--vocab", VOCAB, "--rules", str(custom), "expand")
+    assert (code, out) == (2, "")
+    assert err == f"bad rule file: line 1: LEMMA {value!r} is not a Gaelic word\n"
+
+
 # a Latin-1 "à" or "ù" is one byte that no UTF-8 sequence starts with
 def test_non_utf8_vocabulary_exits_2_naming_file_and_line(capsys, tmp_path):
     vocab = tmp_path / "latin1.svf"

@@ -130,6 +130,14 @@ def test_parse_rejects_selectors_that_can_never_match(selector):
         parse_rules(f"# special cases\n* {selector}\nNS: NS\n")
 
 
+@pytest.mark.parametrize("value", ["cat1", 'a"b'])
+def test_a_lemma_selector_must_name_a_gaelic_word(value):
+    # no entry's lemma could ever equal it
+    with pytest.raises(RuleSyntaxError) as raised:
+        parse_rules(f'* NOUN & IRREG & LEMMA="{value}"\nNS: NS\n* NOUN\nNS: NS\n')
+    assert str(raised.value) == f"line 1: LEMMA {value!r} is not a Gaelic word"
+
+
 def test_load_rules_accepts_byte_order_mark(tmp_path):
     path = tmp_path / "bom.grl"
     path.write_text("\ufeff* NOUN & M\nNS: NS\n", encoding="utf-8")
