@@ -1,7 +1,8 @@
 """Command-line front end: gdmorph <command> over a vocabulary file.
 
 Exit codes: 0 success, 1 domain error (word not found, unsupported
-irregular, underivable form), 2 I/O or syntax error.
+irregular, underivable form), 2 I/O or syntax error, stdout closed by
+its reader included.
 """
 
 from __future__ import annotations
@@ -360,7 +361,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader of stdout went away (gdmorph expand | head): an I/O
+        # error; stdout goes to devnull so that the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 2
+    sys.exit(status)
 
 
 if __name__ == "__main__":

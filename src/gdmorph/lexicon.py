@@ -108,8 +108,9 @@ def build_all_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> AllFormsIndex:
 
     Expansion is best effort; forms that cannot be derived (unknown
     principal parts, uncovered irregulars) are recorded as failures
-    rather than aborting the build.  Codes come in paradigm order and
-    homographs are merged here, once, so recognize only reads them.
+    rather than aborting the build.  derive_forms gives each surface's
+    analyses in paradigm order, stored as they come; homographs are
+    merged here, once, so recognize only reads them.
     """
     index = AllFormsIndex(fold_policy=vocabulary.fold_policy)
     form_index = index.form_index
@@ -117,8 +118,7 @@ def build_all_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> AllFormsIndex:
         forms, failures = rules.derive_forms(entry, ruleset)
         for code, message in failures.items():
             index.failures.append((entry.lemma, code, message))
-        for surface, codes in forms.items():
-            analyses = tuple([(entry, code) for code in codes])
+        for surface, analyses in forms.items():
             known = form_index.get(surface)
             # a homograph, or the same record given twice
             form_index[surface] = analyses if known is None else _merge(known, analyses)

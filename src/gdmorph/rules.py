@@ -74,6 +74,10 @@ _SOURCES_BY_POS = {
     pos: (LEMMA, *(field.upper() for field in fields if field in svf.PART_FIELDS))
     for pos, fields in svf.FIELDS_BY_POS.items()
 }
+# each source's position among an Entry's fields, where _run reads it
+_FIELD_OF_SOURCE = {
+    name.upper(): Entry._fields.index(name) for name in ("lemma", *svf.PART_FIELDS)
+}
 
 # each transform with its inverse on folded text, which undoes what the
 # transform writes at the front of a word, for lexicon.candidates; DH's
@@ -128,17 +132,18 @@ class Selection(NamedTuple):
     with the key runs once.
 
     The plan's values are numbered: first each distinct principal part
-    it reads (sources), then one per step, a step applying one suffix or
-    transform to an earlier value.  forms maps each form code, in
-    paradigm order, to the values of its alternatives, from the first
-    matching rule that defines it.  For a noun, allomorphs pairs the
-    lemma and each such value with the value of its lenited allomorph,
-    leaving out values that H/ gave (lenition is idempotent).  matched
-    tells whether any rule matched at all.
+    it reads (sources, each with its position among an Entry's fields),
+    then one per step, a step applying one suffix or transform to an
+    earlier value.  forms maps each form code, in paradigm order, to the
+    values of its alternatives, from the first matching rule that
+    defines it.  For a noun, allomorphs pairs the lemma and each such
+    value with the value of its lenited allomorph, leaving out values
+    that H/ gave (lenition is idempotent).  matched tells whether any
+    rule matched at all.
     """
 
     matched: bool
-    sources: tuple[str, ...]
+    sources: tuple[tuple[str, int], ...]
     steps: tuple[tuple[int, Callable, SuffixAlternation | None], ...]
     forms: dict[str, tuple[int, ...]]
     allomorphs: tuple[tuple[int, int], ...]
@@ -237,7 +242,8 @@ def _plan(pos: str, matched: bool, derivations: dict) -> Selection:
             (value, step(value, lenite)) for value in values if value not in lenited
         )
     # the allomorphs add steps, so the step tuple is taken last
-    return Selection(matched, tuple(sources), tuple(steps), forms, allomorphs)
+    fields = tuple((source, _FIELD_OF_SOURCE[source]) for source in sources)
+    return Selection(matched, fields, tuple(steps), forms, allomorphs)
 
 
 def _strip_comment(line: str) -> str:
@@ -406,28 +412,25 @@ def default_rules() -> RuleSet:
 Failure = tuple[type, str]
 
 
-def _resolve(entry: Entry, source: str) -> str | None | Failure:
-    """Principal-part text; None when the part is marked non-existent."""
-    if source == LEMMA:
-        return entry.lemma
-    value = getattr(entry, source.lower(), None)
-    if value is None:
-        return MissingPrincipalPartError, f"{entry.lemma}: entry has no {source} part"
-    if value.is_present:
-        return value.text
-    if value.is_unknown:
-        return MissingPrincipalPartError, f"{entry.lemma}: {source} is unknown"
-    return None
-
-
 def _run(entry: Entry, selection: Selection) -> tuple[list, bool]:
     """Every value of the entry's plan, each computed once, and whether
-    any of them is a failure."""
+    any of them is a failure.  A source's value is the lemma or a
+    part's text, None when the part is marked non-existent."""
     values = []
     failed = False
-    for source in selection.sources:
-        value = _resolve(entry, source)
-        failed = failed or value.__class__ is tuple
+    for source, field in selection.sources:
+        value = entry[field]
+        if value is None:
+            value = MissingPrincipalPartError, f"{entry.lemma}: entry has no {source} part"
+            failed = True
+        elif value.__class__ is not str:
+            if value.is_present:
+                value = value.text
+            elif value.is_unknown:
+                value = MissingPrincipalPartError, f"{entry.lemma}: {source} is unknown"
+                failed = True
+            else:
+                value = None
         values.append(value)
     for value, step, suffix in selection.steps:
         base = values[value]
@@ -522,44 +525,50 @@ def conjugate(entry: Entry, ruleset: RuleSet) -> Paradigm:
     return _paradigm(entry, ruleset, VERB_FORMS)[0]
 
 
+Analyses = tuple[tuple[Entry, str], ...]
+
+
 def derive_forms(
     entry: Entry, ruleset: RuleSet
-) -> tuple[dict[str, list[str]], dict[str, str]]:
-    """Every producible surface form, mapped to the form codes it
-    realizes in paradigm order, plus the per-code errors for forms that
-    could not be derived.
+) -> tuple[dict[str, Analyses], dict[str, str]]:
+    """Every producible surface form, mapped to its (entry, form code)
+    analyses in paradigm order, as lexicon.AllFormsIndex stores them,
+    plus the per-code errors for forms that could not be derived.
 
     Best effort: the lemma is always included, as LEMMA when no code
     gives it.  For nouns, the lenited allomorph of each form is added
-    too (mo chat, mo shaoghal), with a copy of the codes of the form it
+    too (mo chat, mo shaoghal), sharing the analyses of the form it
     varies, unless that spelling is already a form in its own right.
     """
     selection = ruleset.select(entry)
     values, failed = _run(entry, selection)
     pos_forms = FORMS_BY_POS.get(entry.pos, ())
-    failures = {}
+    errors = {}
     if failed or len(selection.forms) < len(pos_forms):
         failures = _failures(entry, selection, values, pos_forms)
-    forms: dict[str, list[str]] = {}
+        errors = {code: message for code, (_, message) in failures.items()}
+    forms: dict[str, Analyses] = {}
     for code, ends in selection.forms.items():
-        if code in failures:
+        if code in errors:
             continue
+        analysis = (entry, code)
         for end in ends:
             surface = values[end]
             if surface is not None:
-                codes = forms.get(surface)
-                if codes is None:
-                    forms[surface] = [code]
-                elif codes[-1] != code:
-                    codes.append(code)
+                known = forms.get(surface)
+                if known is None:
+                    forms[surface] = (analysis,)
+                elif known[-1] is not analysis:
+                    # a second code on the same surface grows its tuple
+                    forms[surface] = (*known, analysis)
     if entry.lemma not in forms:
-        forms[entry.lemma] = [LEMMA]
+        forms[entry.lemma] = ((entry, LEMMA),)
     for end, lenited in selection.allomorphs:
         surface, lenited = values[end], values[lenited]
         # a failed or non-existent value is no form, and has no allomorph
         if surface in forms and lenited != surface and lenited not in forms:
-            forms[lenited] = list(forms[surface])
-    return forms, {code: message for code, (_, message) in failures.items()}
+            forms[lenited] = forms[surface]
+    return forms, errors
 
 
 def all_surface_forms(entry: Entry, ruleset: RuleSet) -> set[str]:

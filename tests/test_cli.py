@@ -663,3 +663,22 @@ def test_recognize_lists_analyses_in_forms_by_pos_order(capsys):
     assert out == "òl\tVERB\tVN\nòl\tVERB\tFUT_DEP\nòl\tVERB\tIMP2S\n"
     codes = [line.split("\t")[2] for line in out.splitlines()]
     assert codes == [form for form in rules.FORMS_BY_POS["VERB"] if form in codes]
+
+
+@pytest.mark.parametrize("command", [["expand"], ["decline", "cat"]])
+def test_stdout_closed_by_its_reader_exits_2_without_a_traceback(command):
+    """gdmorph expand | head: the reader may close the pipe before the
+    output is written; that is an I/O error, reported by exit 2 alone."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "gdmorph", "--vocab", VOCAB, *command],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr

@@ -197,7 +197,18 @@ LENITION_WORDS = WORDS + ["chat", "fear"]
 def test_derive_forms_agrees_with_per_form_reference(text, entry_list):
     ruleset = parse_rules(text)
     for entry in entry_list:
-        assert derive_forms(entry, ruleset) == reference_derive_forms(entry, ruleset)
+        forms, errors = derive_forms(entry, ruleset)
+        for analyses in forms.values():
+            assert all(named is entry for named, _ in analyses)
+        codes = {surface: [code for _, code in analyses] for surface, analyses in forms.items()}
+        assert (codes, errors) == reference_derive_forms(entry, ruleset)
+
+
+def test_allomorph_shares_its_base_forms_analyses():
+    entry = Entry("cat", NOUN, gender="M", np=part("cait"), gs=part("cait"))
+    forms, _ = derive_forms(entry, rules.default_rules())
+    assert forms["cat"] == ((entry, "NS"), (entry, "DS"))
+    assert forms["chat"] is forms["cat"]
 
 
 def test_bundled_plans_share_steps():
