@@ -43,10 +43,10 @@ from .orthography import (
 from .rules import (
     Paradigm,
     RuleSet,
-    all_surface_forms,
     conjugate,
     decline,
     default_rules,
+    derive_forms,
     inflect,
     load_rules,
     parse_rules,

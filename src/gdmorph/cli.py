@@ -49,11 +49,21 @@ def _read(kind: str, load, path):
         raise _Fail(2, f"cannot read {kind}: {_not_utf8(path)}")
 
 
-def _load_vocab(args):
+def _read_vocab(args):
+    """The vocabulary and its bad lines, as (line number, error) pairs."""
     if not args.vocab:
         raise _Fail(2, "this command needs --vocab")
     load = partial(lexicon.Vocabulary.from_svf_file, fold_policy=args.fold)
     return _read("vocabulary", load, args.vocab)
+
+
+def _load_vocab(args) -> lexicon.Vocabulary:
+    """The vocabulary, each bad line warned about on stderr, as a
+    frequency list's are; the command goes on without it."""
+    vocab, errors = _read_vocab(args)
+    for number, error in errors:
+        print(f"{args.vocab}: line {number}: {error}", file=sys.stderr)
+    return vocab
 
 
 def _load_rules(args) -> rules.RuleSet:
@@ -90,7 +100,7 @@ def _report(args, pairs: list[tuple[str, str]]) -> None:
 
 
 def cmd_validate(args) -> int:
-    vocab, errors = _load_vocab(args)
+    vocab, errors = _read_vocab(args)
     for number, error in errors:
         print(f"line {number}: {error}")
     by_pos = Counter(entry.pos for entry in vocab)
@@ -120,7 +130,7 @@ def _entries_for(args, vocab: lexicon.Vocabulary, lemma: str):
 
 
 def cmd_inflect(args) -> int:
-    vocab, _ = _load_vocab(args)
+    vocab = _load_vocab(args)
     ruleset = _load_rules(args)
     form = args.form.upper()
     entries = _entries_for(args, vocab, args.lemma)
@@ -137,7 +147,7 @@ def cmd_inflect(args) -> int:
 
 
 def _paradigms(args, pos: str, paradigm_of, layout: str) -> int:
-    vocab, _ = _load_vocab(args)
+    vocab = _load_vocab(args)
     ruleset = _load_rules(args)
     entries = [e for e in _entries_for(args, vocab, args.lemma) if e.pos == pos]
     if not entries:
@@ -152,7 +162,7 @@ def _paradigms(args, pos: str, paradigm_of, layout: str) -> int:
 
 
 def cmd_expand(args) -> int:
-    vocab, _ = _load_vocab(args)
+    vocab = _load_vocab(args)
     ruleset = _load_rules(args)
     forms = sorted(lexicon.surface_forms(vocab, ruleset))
     text = "".join(form + "\n" for form in forms)
@@ -163,7 +173,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    vocab, _ = _load_vocab(args)
+    vocab = _load_vocab(args)
     ruleset = _load_rules(args)
     word = _query_word(args, args.word)
     # the word's candidate entries give it the analyses the whole vocabulary would
@@ -189,7 +199,7 @@ def _load_freq(path: str | None) -> analysis.FrequencyList:
 
 
 def cmd_coverage(args) -> int:
-    vocab, _ = _load_vocab(args)
+    vocab = _load_vocab(args)
     freq = _load_freq(args.freq)
     if args.mode == "lemmas":
         keys = vocab.lemma_set
@@ -212,7 +222,7 @@ def cmd_coverage(args) -> int:
 
 def cmd_stats(args) -> int:
     if args.which == "plural-an":
-        vocab, _ = _load_vocab(args)
+        vocab = _load_vocab(args)
         nouns = [e for e in vocab if e.pos == svf.NOUN]
         broad = analysis.count_suffix_pattern(nouns, "np", "an", min_extra=2)
         short = analysis.count_suffix_pattern(nouns, "np", "an", min_extra=2, exact=True)
@@ -223,7 +233,7 @@ def cmd_stats(args) -> int:
         ])
         return 0
     if args.which == "vn-endings":
-        vocab, _ = _load_vocab(args)
+        vocab = _load_vocab(args)
         histogram = analysis.ending_histogram(
             vocab.entries, "vn", suffix_len=3, min_growth=3
         )
@@ -235,7 +245,7 @@ def cmd_stats(args) -> int:
             print(export.render_table(["Ending", "Freq"], rows, framed=True), end="")
         return 0
     if args.which == "dedup":
-        vocab, _ = _load_vocab(args)
+        vocab = _load_vocab(args)
         case_pairs, accent_pairs = analysis.find_near_duplicates(vocab.entries)
         print(f"case pairs\t{len(case_pairs)}")
         for a, b in case_pairs:
@@ -266,7 +276,7 @@ def cmd_export(args) -> int:
     if args.kind == "ddl":
         _write_out(args.out, export.emit_ddl(dialect=args.dialect))
         return 0
-    vocab, errors = _load_vocab(args)
+    vocab, errors = _read_vocab(args)
     if errors:
         for number, error in errors:
             print(f"line {number}: {error}", file=sys.stderr)

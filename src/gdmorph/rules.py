@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from . import orthography, svf
 from .orthography import MorphologyError, SuffixAlternation
-from .svf import ADJ, NOUN, VERB, Entry
+from .svf import ADJ, NOUN, PRESENT, UNKNOWN, VERB, Entry
 
 NOUN_FORMS = ("NS", "NP", "GS", "GP", "DS", "DP", "VS", "VP")
 VERB_FORMS = (
@@ -424,9 +424,10 @@ def _run(entry: Entry, selection: Selection) -> tuple[list, bool]:
             value = MissingPrincipalPartError, f"{entry.lemma}: entry has no {source} part"
             failed = True
         elif value.__class__ is not str:
-            if value.is_present:
-                value = value.text
-            elif value.is_unknown:
+            state, text = value
+            if state == PRESENT:
+                value = text
+            elif state == UNKNOWN.state:
                 value = MissingPrincipalPartError, f"{entry.lemma}: {source} is unknown"
                 failed = True
             else:
@@ -569,8 +570,3 @@ def derive_forms(
         if surface in forms and lenited != surface and lenited not in forms:
             forms[lenited] = forms[surface]
     return forms, errors
-
-
-def all_surface_forms(entry: Entry, ruleset: RuleSet) -> set[str]:
-    """The distinct spellings under which the entry can appear in text."""
-    return set(derive_forms(entry, ruleset)[0])

@@ -33,7 +33,8 @@ PARTS_OF_SPEECH = tuple(FIELDS_BY_POS)
 
 GENDERS = ("M", "F")
 
-_PRESENT = "present"
+# the states of a PartValue; a part that holds a word is PRESENT
+PRESENT = "present"
 _UNKNOWN = "unknown"
 _NON_EXISTENT = "nonexistent"
 
@@ -58,7 +59,7 @@ class PartValue(NamedTuple):
 
     @property
     def is_present(self) -> bool:
-        return self.state == _PRESENT
+        return self.state == PRESENT
 
     @property
     def is_unknown(self) -> bool:
@@ -80,7 +81,7 @@ NON_EXISTENT = PartValue(_NON_EXISTENT)
 
 def part(text: str) -> PartValue:
     """A present principal part holding the given word."""
-    return PartValue(_PRESENT, text)
+    return PartValue(PRESENT, text)
 
 
 class Entry(NamedTuple):
@@ -109,12 +110,15 @@ class Entry(NamedTuple):
 PART_FIELDS = Entry._fields[4:]
 
 # each part of speech's fields as one run of an Entry's fields, and the
-# Nones that fill an Entry's fields between irregular and that run
+# Nones that fill an Entry's other fields before and after that run
 _SPANS = {
     pos: slice(Entry._fields.index(fields[0]), Entry._fields.index(fields[-1]) + 1)
     for pos, fields in FIELDS_BY_POS.items()
 }
-_PADDING = {pos: (None,) * (span.start - 3) for pos, span in _SPANS.items()}
+_PADDING = {
+    pos: ((None,) * (span.start - 3), (None,) * (len(Entry._fields) - span.stop))
+    for pos, span in _SPANS.items()
+}
 
 
 class Violation(NamedTuple):
@@ -199,43 +203,9 @@ def _part_token(token: tuple[bool, str], field: str) -> PartValue:
     raise SvfSyntaxError(f"expected quoted word, ? or - for {field}, got {text!r}")
 
 
-# a record as serialize_entry writes it: single spaces, quoted Gaelic
-# words, bare markers; group order: gender, VERB|ADJ, lemma, part,
-# part, IRREG
-_RECORD = re.compile(
-    rf'(?:NOUN ([MF])|(VERB|ADJ)) "({orthography.WORD_PATTERN})"'
-    rf' ("{orthography.WORD_PATTERN}"|[?-])(?: ("{orthography.WORD_PATTERN}"|[?-]))?( IRREG)?'
-)
-
-
-def _record_part(token: str) -> PartValue:
-    """A part token the pattern matched: a marker or a quoted word."""
-    return _MARKERS[token] if token in _MARKERS else part(token[1:-1])
-
-
 def parse_svf_line(line: str) -> Entry:
-    """Parse one non-blank, non-comment record into an Entry.
-
-    A record in the canonical layout whose words are all in the
-    alphabet is read by one pattern match.  Such a line holds no
-    character that NFC composition or apostrophe folding would change,
-    so it needs neither.  Every other line goes through the tokenizer,
-    which accepts the same records and raises every error.
-    """
-    match = _RECORD.fullmatch(line)
-    if match is not None:
-        gender, pos, lemma, first, second, irregular = match.groups()
-        if (gender is None) == (second is None):
-            value = _record_part(first)
-            irregular = irregular is not None
-            if gender is not None:
-                return Entry(lemma, NOUN, irregular, gender, value, _record_part(second))
-            return Entry(lemma, pos, irregular, *_PADDING[pos], value)
-    return _parse_tokens(line)
-
-
-def _parse_tokens(line: str) -> Entry:
-    """Parse a record token by token, checking each field in turn."""
+    """Parse one non-blank, non-comment record into an Entry, token by
+    token, checking each field in turn; every error is raised here."""
     tokens = _tokenize(orthography.canonical(line.rstrip("\n")))
     if not tokens:
         raise SvfSyntaxError("empty record")
@@ -263,7 +233,8 @@ def _parse_tokens(line: str) -> Entry:
         raise SvfSyntaxError("lemma must be a quoted word")
     lemma = _word(rest[0][1], "lemma")
     values += [_part_token(token, field.upper()) for token, field in zip(rest[1:], fields)]
-    return Entry(lemma, pos, irregular, *_PADDING[pos], *values)
+    before, after = _PADDING[pos]
+    return Entry(lemma, pos, irregular, *before, *values, *after)
 
 
 def serialize_entry(entry: Entry) -> str:
@@ -276,10 +247,20 @@ def serialize_entry(entry: Entry) -> str:
         raise ValueError(f"{entry.pos} entry is missing one of {', '.join(fields)}")
     lead = int(fields[0] == "gender")  # a gender goes bare before the lemma
     tokens = [entry.pos, *values[:lead], f'"{entry.lemma}"']
-    tokens += [f'"{v.text}"' if v.state == _PRESENT else str(v) for v in values[lead:]]
+    tokens += [f'"{v.text}"' if v.state == PRESENT else str(v) for v in values[lead:]]
     if entry.irregular:
         tokens.append("IRREG")
     return " ".join(tokens)
+
+
+# a record as serialize_entry writes it: single spaces, quoted Gaelic
+# words, bare markers, and a second part exactly when a gender opens
+# the record; groups: gender, VERB|ADJ, lemma, then a word or a marker
+# for each part, IRREG
+_PART = rf'(?:"({orthography.WORD_PATTERN})"|([?-]))'
+_RECORD = re.compile(
+    rf'(?:NOUN ([MF])|(VERB|ADJ)) "({orthography.WORD_PATTERN})" {_PART}(?(1) {_PART})( IRREG)?'
+)
 
 
 def load_vocabulary_file(path) -> tuple[list[Entry], list[tuple[int, SvfError]]]:
@@ -288,18 +269,49 @@ def load_vocabulary_file(path) -> tuple[list[Entry], list[tuple[int, SvfError]]]
     Blank lines, "#" comments and a leading byte-order mark are
     skipped.  A bad line never aborts the load; it is returned as a
     (line number, error) pair instead.
+
+    A line that holds a record in the canonical layout, its words all
+    in the alphabet, is read by one pattern match, and its parts and
+    Entry are made from the groups by tuple.__new__, as namedtuple's
+    own _make makes them.  Such a line holds no character that NFC
+    composition or apostrophe folding would change, so it needs
+    neither.  Any other line is stripped; unless blank or a comment, it
+    gets the same match once more (a record padded with whitespace) and
+    otherwise goes to parse_svf_line, which accepts the same records
+    and raises every error.
     """
+    # newline=None, the default, reads "\r\n" and "\r" as "\n"
+    with open(path, encoding="utf-8-sig") as handle:
+        lines = handle.read().split("\n")
     entries = []
     errors = []
-    with open(path, encoding="utf-8-sig") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+    record, new, markers = _RECORD.fullmatch, tuple.__new__, _MARKERS
+    noun_after = _PADDING[NOUN][1]
+    for number, line in enumerate(lines, start=1):
+        match = record(line)
+        if match is None:
+            line = line.strip()
+            if not line or line[0] == "#":
                 continue
-            try:
-                entries.append(parse_svf_line(line))
-            except SvfError as exc:
-                # without its traceback, which holds this frame and so
-                # makes a reference cycle through `errors`
-                errors.append((number, exc.with_traceback(None)))
+            match = record(line)
+            if match is None:
+                try:
+                    entries.append(parse_svf_line(line))
+                except SvfError as exc:
+                    # without its traceback, which holds this frame and so
+                    # makes a reference cycle through `errors`
+                    errors.append((number, exc.with_traceback(None)))
+                continue
+        gender, pos, lemma, word, marker, second_word, second_marker, irregular = match.groups()
+        value = markers[marker] if word is None else new(PartValue, (PRESENT, word))
+        irregular = irregular is not None
+        if gender is None:
+            before, after = _PADDING[pos]
+            entries.append(new(Entry, (lemma, pos, irregular, *before, value, *after)))
+        else:
+            second = (
+                markers[second_marker] if second_word is None
+                else new(PartValue, (PRESENT, second_word))
+            )
+            entries.append(new(Entry, (lemma, NOUN, irregular, gender, value, second, *noun_after)))
     return entries, errors

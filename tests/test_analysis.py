@@ -182,7 +182,7 @@ def test_coverage_superset_monotonicity():
     entries, _ = svf.load_vocabulary_file(DATA / "coverage20.svf")
     ruleset = rules.default_rules()
     lemmas = {e.lemma for e in entries}
-    allforms = set().union(*(rules.all_surface_forms(e, ruleset) for e in entries))
+    allforms = set().union(*(set(rules.derive_forms(e, ruleset)[0]) for e in entries))
     lemma_report = coverage(fl, lemmas)
     allforms_report = coverage(fl, allforms)
     assert allforms_report.token_coverage >= lemma_report.token_coverage
@@ -196,7 +196,7 @@ def test_fixture_coverage_matches_frozen_oracle():
     assert not errors and len(entries) == 20
     ruleset = rules.default_rules()
     lemmas = {e.lemma for e in entries}
-    allforms = set().union(*(rules.all_surface_forms(e, ruleset) for e in entries))
+    allforms = set().union(*(set(rules.derive_forms(e, ruleset)[0]) for e in entries))
 
     assert fl.total_tokens == expected["total_tokens"]
     lemma_report = coverage(fl, lemmas)

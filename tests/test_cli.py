@@ -512,6 +512,33 @@ def test_ordering_warnings_name_their_line(capsys, tmp_path):
     )
 
 
+BAD_LINE = 'NOUN M "cù" "coin" "coin" extra'
+GOOD_LINES = ['NOUN M "saoghal" "saoghalan" "saoghail"', 'VERB "òl" "òl"', 'ADJ "mòr" "motha"']
+
+
+@pytest.mark.parametrize("command", [
+    ["expand"],
+    ["recognize", "shaoghal"],
+    ["recognize", "coin"],
+    ["coverage", FREQ],
+    ["coverage", FREQ, "--mode", "allforms"],
+    ["inflect", "òl", "VN"],
+    ["decline", "saoghal"],
+    ["conjugate", "òl"],
+    ["stats", "plural-an"],
+    ["stats", "vn-endings"],
+    ["stats", "dedup"],
+])
+def test_bad_vocabulary_line_is_warned_about_and_output_unchanged(capsys, tmp_path, command):
+    clean, bad = tmp_path / "clean.svf", tmp_path / "bad.svf"
+    clean.write_text("\n".join(GOOD_LINES) + "\n", encoding="utf-8")
+    bad.write_text("\n".join([GOOD_LINES[0], BAD_LINE, *GOOD_LINES[1:]]) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "--vocab", str(clean), *command)
+    bad_code, bad_out, bad_err = run(capsys, "--vocab", str(bad), *command)
+    assert (bad_code, bad_out) == (code, out)
+    assert bad_err == f"{bad}: line 2: NOUN record needs lemma, NP and GS, got 4 fields\n" + err
+
+
 HELP = {("-h", "--help"): (None, argparse.SUPPRESS)}
 # per parser: {option strings: (choices, default)}, [(positional, choices)]
 OPTION_SURFACE = {

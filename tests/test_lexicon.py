@@ -102,7 +102,7 @@ def test_forms_per_pos_counts_shared_spellings_under_each_pos(ruleset):
     index = build_all_forms(Vocabulary(entries), ruleset)
     unions: dict[str, set[str]] = {}
     for entry in entries:
-        unions.setdefault(entry.pos, set()).update(rules.all_surface_forms(entry, ruleset))
+        unions.setdefault(entry.pos, set()).update(set(rules.derive_forms(entry, ruleset)[0]))
     assert "mòr" in unions["NOUN"] and "mòr" in unions["ADJ"]
     assert index.forms_per_pos == {pos: len(forms) for pos, forms in unions.items()}
     assert sum(index.forms_per_pos.values()) > index.distinct_form_count
@@ -121,7 +121,7 @@ def test_build_all_forms_collision_bound(ruleset):
     ]
     vocab = Vocabulary(fixture)
     index = build_all_forms(vocab, ruleset)
-    per_entry = [rules.all_surface_forms(e, ruleset) for e in fixture]
+    per_entry = [set(rules.derive_forms(e, ruleset)[0]) for e in fixture]
     assert index.distinct_form_count <= sum(len(s) for s in per_entry)
     union = set().union(*per_entry)
     assert index.forms() == union
@@ -194,7 +194,7 @@ def test_recognize_every_indexed_form(ruleset):
         assert analyses, surface
         for entry, code in analyses:
             if code == rules.LEMMA:
-                assert surface in rules.all_surface_forms(entry, ruleset)
+                assert surface in set(rules.derive_forms(entry, ruleset)[0])
             else:
                 analyses = rules.derive_forms(entry, ruleset)[0][surface]
                 assert all(named is entry for named, _ in analyses)

@@ -3,10 +3,12 @@ input.
 
 `is_gaelic_word` and the SVF tokenizer are checked against the
 per-character definitions they replaced, kept here as references.  The
-SVF reader's one-pattern path is checked against its tokenizer path,
-which reads every line.
+vocabulary loader's one-pattern path is checked against parse_svf_line,
+the tokenizer path, which reads every line, and its read loop against
+that function applied line by line.
 """
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -115,7 +117,9 @@ def record_lines(draw):
         pos = draw(st.sampled_from([NOUN, VERB, ADJ]))
         tokens = [pos, draw(st.sampled_from(GENDERS))] if pos == NOUN else [pos]
         tokens.append('"' + draw(st.one_of(words, svf_words)) + '"')
-        tokens += [draw(svf_fields) for _ in range(PART_COUNTS[pos])]
+        # now and then one part too few or too many
+        count = PART_COUNTS[pos] + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        tokens += [draw(svf_fields) for _ in range(count)]
         if draw(st.booleans()):
             tokens.append("IRREG")
     else:
@@ -176,23 +180,63 @@ def test_tokenizer_matches_reference_scanner(line):
     assert _tokens_or_error(svf._tokenize, line) == _tokens_or_error(reference_tokenize, line)
 
 
-def _parse_outcome(parse, line):
-    try:
-        entry = parse(line)
-    except SvfError as exc:
-        return type(exc), str(exc)
-    assert type(entry) is Entry
-    assert all(
-        value is None or type(value) is PartValue
-        for value in (entry.np, entry.gs, entry.vn, entry.cp)
-    )
-    return entry
+@pytest.fixture(scope="module")
+def vocab_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader") / "vocab.svf"
+
+
+def _load(path, text: str):
+    """load_vocabulary_file on the text, each error as (line, type, message)."""
+    path.write_bytes(text.encode("utf-8"))
+    entries, errors = svf.load_vocabulary_file(path)
+    for entry in entries:
+        assert type(entry) is Entry
+        parts = (getattr(entry, field) for field in svf.PART_FIELDS)
+        assert all(value is None or type(value) is PartValue for value in parts)
+    return entries, [(number, type(error), str(error)) for number, error in errors]
+
+
+def reference_load(lines: list[str]):
+    """parse_svf_line on each stripped line that is neither blank nor a comment."""
+    entries, errors = [], []
+    for number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            try:
+                entries.append(parse_svf_line(line))
+            except SvfError as exc:
+                errors.append((number, type(exc), str(exc)))
+    return entries, errors
+
+
+# a line of a file: no line break inside it
+one_line = record_lines().filter(lambda line: "\n" not in line and "\r" not in line)
 
 
 @settings(max_examples=500)
-@given(record_lines())
-def test_svf_pattern_path_agrees_with_tokenizer(line):
-    assert _parse_outcome(parse_svf_line, line) == _parse_outcome(svf._parse_tokens, line)
+@given(one_line)
+def test_svf_pattern_path_agrees_with_tokenizer(vocab_path, line):
+    assert _load(vocab_path, line) == reference_load([line])
+
+
+comment_or_blank_lines = st.one_of(
+    st.sampled_from(["", " ", "\t", "  \t "]),
+    st.tuples(
+        st.sampled_from(["", " ", "\t"]), st.text(alphabet=GAELIC + ' "#?-\t', max_size=10)
+    ).map(lambda pair: pair[0] + "#" + pair[1]),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.one_of(one_line, comment_or_blank_lines), max_size=8),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_loader_equals_parse_svf_line_line_by_line(vocab_path, lines, newline, bom, final_newline):
+    text = ("\ufeff" if bom else "") + newline.join(lines) + (newline if final_newline else "")
+    assert _load(vocab_path, text) == reference_load(lines)
 
 
 rule_fragments = st.sampled_from([
