@@ -15,26 +15,27 @@ from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from . import orthography
-from .orthography import EXACT, fold_key
+from .orthography import EXACT, InputError, fold_key
 from .svf import PART_FIELDS, Entry
 
 
-class FormatError(ValueError):
+class FormatError(InputError):
     """Frequency list file with no parsable rows."""
 
 
-class RangeError(ValueError):
+class RangeError(InputError):
     """A requested rank beyond the end of the list."""
 
 
-class TokenTotalError(ValueError):
+class TokenTotalError(InputError):
     """A frequency list whose counts do not add up to a positive total."""
 
 
 class FrequencyList:
-    """Ranked (rank, lexeme, count) rows from a corpus word list."""
+    """Ranked (rank, lexeme, count) rows from a corpus word list, and
+    the warnings its file gave, each an InputError naming its line."""
 
-    def __init__(self, rows: list[tuple[int, str, int]], warnings: Sequence[str] = ()):
+    def __init__(self, rows: list[tuple[int, str, int]], warnings: Sequence[InputError] = ()):
         self.rows = rows
         self.warnings = list(warnings)
 
@@ -54,41 +55,38 @@ def load_frequency_list(path) -> FrequencyList:
     tab or comma, sniffed from the first data line.  The first line that
     is not blank or a comment is a header row, and skipped, when none of
     its cells parses as an integer.  Other malformed rows, ranks out of
-    order and counts above the previous row's are reported as warnings
-    that name their line, not as errors.
+    order and counts above the previous row's are returned as warnings,
+    InputErrors that carry the path and line, not raised.
     Lexemes are kept as found, dirty or not.
     """
     rows: list[tuple[int, str, int]] = []
-    warnings: list[str] = []
+    warnings: list[InputError] = []
     delimiter = None
-    with open(path, encoding="utf-8-sig") as handle:
-        lines = enumerate(map(str.strip, handle), start=1)
-        records = ((number, line) for number, line in lines if line and not line.startswith("#"))
-        for index, (number, line) in enumerate(records):
-            if delimiter is None:
-                delimiter = "\t" if "\t" in line else ","
-            cells = [cell.strip() for cell in line.split(delimiter)]
-            parsed = _parse_row(cells, len(rows) + 1)
-            if parsed is None:
-                if not rows:
-                    delimiter = None  # no data line has fixed it yet
-                if index or any(map(_is_int, cells)):  # a header has no number
-                    warnings.append(f"line {number}: unparsable row {line!r}")
-                continue
-            if rows:
-                rank, _, count = parsed
-                last_rank, _, last_count = rows[-1]
-                if rank <= last_rank:
-                    warnings.append(
-                        f"line {number}: rank {rank} out of order after rank {last_rank}"
-                    )
-                if count > last_count:
-                    warnings.append(
-                        f"line {number}: count {count} at rank {rank} exceeds the previous rank"
-                    )
-            rows.append(parsed)
+    lines = enumerate(map(str.strip, orthography.read_text(path).split("\n")), start=1)
+    records = ((number, line) for number, line in lines if line and not line.startswith("#"))
+    for index, (number, line) in enumerate(records):
+        if delimiter is None:
+            delimiter = "\t" if "\t" in line else ","
+        cells = [cell.strip() for cell in line.split(delimiter)]
+        parsed = _parse_row(cells, len(rows) + 1)
+        if parsed is None:
+            if not rows:
+                delimiter = None  # no data line has fixed it yet
+            if index or any(map(_is_int, cells)):  # a header has no number
+                warnings.append(InputError(f"unparsable row {line!r}", path, number))
+            continue
+        if rows:
+            rank, _, count = parsed
+            last_rank, _, last_count = rows[-1]
+            if rank <= last_rank:
+                message = f"rank {rank} out of order after rank {last_rank}"
+                warnings.append(InputError(message, path, number))
+            if count > last_count:
+                message = f"count {count} at rank {rank} exceeds the previous rank"
+                warnings.append(InputError(message, path, number))
+        rows.append(parsed)
     if not rows:
-        raise FormatError(f"no parsable rows in {path}")
+        raise FormatError("no parsable rows", path)
     return FrequencyList(rows=rows, warnings=warnings)
 
 

@@ -1,8 +1,12 @@
 """Command-line front end: gdmorph <command> over a vocabulary file.
 
+Every error and warning about an input has one shape, "path: line N:
+message", leaving out the path or the line where there is none.
+
 Exit codes: 0 success, 1 domain error (word not found, unsupported
-irregular, underivable form), 2 I/O or syntax error, stdout closed by
-its reader included.
+irregular, underivable form: a MorphologyError), 2 input error (a file
+or an argument the program cannot use: an InputError) or stdout closed
+by its reader.
 """
 
 from __future__ import annotations
@@ -11,67 +15,34 @@ import argparse
 import os
 import sys
 from collections import Counter
-from functools import partial
 from operator import attrgetter
 
 from . import analysis, export, lexicon, orthography, rules, svf
+from .orthography import InputError, MorphologyError
 
 ENV_RULES = "GDMORPH_RULES"
 
 _ACCENT_MODES = (orthography.FOLD_ACUTE_TO_GRAVE, orthography.STRIP_ALL, orthography.NO_FOLD)
 
 
-class _Fail(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def _not_utf8(path: str) -> str:
-    """Name the file and its first line that is not UTF-8; read only
-    after a load has failed to decode it."""
-    with open(path, "rb") as handle:
-        for number, raw in enumerate(handle, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return f"{path}: line {number}: not UTF-8 ({exc.reason})"
-    return f"{path}: not UTF-8"
-
-
-def _read(kind: str, load, path):
-    """load(path); a file that cannot be read or decoded exits 2."""
-    try:
-        return load(path)
-    except OSError as exc:
-        raise _Fail(2, f"cannot read {kind}: {exc}")
-    except UnicodeDecodeError:
-        raise _Fail(2, f"cannot read {kind}: {_not_utf8(path)}")
-
-
 def _read_vocab(args):
     """The vocabulary and its bad lines, as (line number, error) pairs."""
     if not args.vocab:
-        raise _Fail(2, "this command needs --vocab")
-    load = partial(lexicon.Vocabulary.from_svf_file, fold_policy=args.fold)
-    return _read("vocabulary", load, args.vocab)
+        raise InputError("this command needs --vocab")
+    return lexicon.Vocabulary.from_svf_file(args.vocab, fold_policy=args.fold)
 
 
 def _load_vocab(args) -> lexicon.Vocabulary:
     """The vocabulary, each bad line warned about on stderr, as a
     frequency list's are; the command goes on without it."""
     vocab, errors = _read_vocab(args)
-    for number, error in errors:
-        print(f"{args.vocab}: line {number}: {error}", file=sys.stderr)
+    for _, error in errors:
+        print(error, file=sys.stderr)
     return vocab
 
 
 def _load_rules(args) -> rules.RuleSet:
-    path = args.rules or os.environ.get(ENV_RULES) or rules.BUNDLED_RULES
-    try:
-        return _read("rules", rules.load_rules, path)
-    except rules.RuleError as exc:
-        raise _Fail(2, f"bad rule file: {exc}")
+    return rules.load_rules(args.rules or os.environ.get(ENV_RULES) or rules.BUNDLED_RULES)
 
 
 def _query_word(args, word: str) -> str:
@@ -86,7 +57,7 @@ def _write_out(path: str | None, text: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise _Fail(2, f"cannot write {path}: {exc}")
+        raise InputError(f"cannot write ({exc.strerror})", path) from None
 
 
 def _report(args, pairs: list[tuple[str, str]]) -> None:
@@ -101,8 +72,8 @@ def _report(args, pairs: list[tuple[str, str]]) -> None:
 
 def cmd_validate(args) -> int:
     vocab, errors = _read_vocab(args)
-    for number, error in errors:
-        print(f"line {number}: {error}")
+    for _, error in errors:
+        print(error)
     by_pos = Counter(entry.pos for entry in vocab)
     parts = {name: Counter(map(attrgetter(name), vocab)) for name in svf.PART_FIELDS}
     pairs = [("violations", str(len(errors)))]
@@ -125,7 +96,7 @@ def cmd_validate(args) -> int:
 def _entries_for(args, vocab: lexicon.Vocabulary, lemma: str):
     found = vocab.lookup(_query_word(args, lemma))
     if not found:
-        raise _Fail(1, f"not found: {lemma}")
+        raise MorphologyError(f"not found: {lemma}")
     return found
 
 
@@ -142,7 +113,7 @@ def cmd_inflect(args) -> int:
         print(" ".join(variants) if variants else export.MISSING_CELL)
         printed = True
     if not printed:
-        raise _Fail(1, f"{form} is not a valid form for {args.lemma}")
+        raise MorphologyError(f"{form} is not a valid form for {args.lemma}")
     return 0
 
 
@@ -151,7 +122,7 @@ def _paradigms(args, pos: str, paradigm_of, layout: str) -> int:
     ruleset = _load_rules(args)
     entries = [e for e in _entries_for(args, vocab, args.lemma) if e.pos == pos]
     if not entries:
-        raise _Fail(1, f"no {pos.lower()} entry for {args.lemma}")
+        raise MorphologyError(f"no {pos.lower()} entry for {args.lemma}")
     style = export.DELIMITED if args.format == "tsv" else export.ASCII
     for entry in entries:
         paradigm = paradigm_of(entry, ruleset)
@@ -180,7 +151,7 @@ def cmd_recognize(args) -> int:
     index = lexicon.build_all_forms(lexicon.candidates(vocab, ruleset, word), ruleset)
     analyses = lexicon.recognize(index, word)
     if not analyses:
-        raise _Fail(1, f"unrecognized: {args.word}")
+        raise MorphologyError(f"unrecognized: {args.word}")
     for entry, code in analyses:
         print(f"{entry.lemma}\t{entry.pos}\t{code}")
     return 0
@@ -188,13 +159,10 @@ def cmd_recognize(args) -> int:
 
 def _load_freq(path: str | None) -> analysis.FrequencyList:
     if path is None:
-        raise _Fail(2, "stats {hapax,zipf} needs --freq")
-    try:
-        freq = _read("frequency list", analysis.load_frequency_list, path)
-    except analysis.FormatError as exc:
-        raise _Fail(2, str(exc))
+        raise InputError("stats {hapax,zipf} needs --freq")
+    freq = analysis.load_frequency_list(path)
     for warning in freq.warnings:
-        print(f"{path}: {warning}", file=sys.stderr)
+        print(warning, file=sys.stderr)
     return freq
 
 
@@ -263,11 +231,7 @@ def cmd_stats(args) -> int:
         return 0
     # zipf
     freq = _load_freq(args.freq)
-    try:
-        points = analysis.cumulative_coverage_curve(freq, args.k)
-    except (analysis.RangeError, analysis.TokenTotalError) as exc:
-        raise _Fail(2, str(exc))
-    for rank, ratio in points:
+    for rank, ratio in analysis.cumulative_coverage_curve(freq, args.k):
         print(f"{rank}\t{ratio:.4f}")
     return 0
 
@@ -278,9 +242,9 @@ def cmd_export(args) -> int:
         return 0
     vocab, errors = _read_vocab(args)
     if errors:
-        for number, error in errors:
-            print(f"line {number}: {error}", file=sys.stderr)
-        raise _Fail(2, "vocabulary has syntax errors; fix before exporting")
+        for _, error in errors:
+            print(error, file=sys.stderr)
+        raise InputError("vocabulary has syntax errors; fix before exporting", args.vocab)
     _write_out(args.out, export.emit_inserts(vocab.entries))
     return 0
 
@@ -360,13 +324,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # InputError first: a rule file's RuleSyntaxError is a MorphologyError too
     try:
         return _COMMANDS[args.command](args)
-    except _Fail as failure:
-        print(str(failure), file=sys.stderr)
-        return failure.code
-    except orthography.MorphologyError as exc:
-        print(str(exc), file=sys.stderr)
+    except InputError as error:
+        print(error, file=sys.stderr)
+        return 2
+    except MorphologyError as error:
+        print(error, file=sys.stderr)
         return 1
 
 

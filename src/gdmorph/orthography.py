@@ -7,12 +7,13 @@ Vowels divide into broad (a, o, u) and slender (e, i) classes, and the
 spelling rule "broad to broad, slender to slender" requires the vowels on
 either side of a consonant group to share a class.
 
-All functions here are pure and operate on canonically composed (NFC)
-strings, so byte equality equals textual equality.
+All functions here but read_text are pure and operate on canonically
+composed (NFC) strings, so byte equality equals textual equality.
 """
 
 from __future__ import annotations
 
+import codecs
 import re
 import unicodedata
 from typing import NamedTuple
@@ -72,6 +73,40 @@ _PROTHESIS = re.compile("[tTnNhH]-|[dD][hH]['’]")
 class MorphologyError(ValueError):
     """A form that cannot be derived: the base of orthography and rule
     errors, so one except clause catches every derivation failure."""
+
+
+class InputError(ValueError):
+    """An input the program cannot use: a file it cannot read or parse,
+    or an argument it cannot act on.  The path and line, where known,
+    are kept apart from the message; str() is "path: line N: message",
+    leaving out each part that is None."""
+
+    def __init__(self, message: str, path=None, line: int | None = None):
+        super().__init__(message)
+        self.message = message
+        self.path = path
+        self.line = line
+
+    def __str__(self) -> str:
+        line = None if self.line is None else f"line {self.line}"
+        return ": ".join(str(part) for part in (self.path, line, self.message) if part is not None)
+
+
+def read_text(path) -> str:
+    """A file's text as open(path, encoding="utf-8-sig") reads it.  A file
+    that cannot be read raises InputError, and so does one that is not
+    UTF-8, naming its first line that is not."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read().removeprefix(codecs.BOM_UTF8)
+        text = data.decode()
+    except OSError as exc:
+        raise InputError(f"cannot read ({exc.strerror})", path) from None
+    except UnicodeDecodeError as exc:
+        # the bad byte, never a line end, closes the last line counted
+        line = len(data[: exc.start + 1].splitlines())
+        raise InputError(f"not UTF-8 ({exc.reason})", path, line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 class NoVowelError(MorphologyError):

@@ -35,7 +35,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from . import orthography, svf
-from .orthography import MorphologyError, SuffixAlternation
+from .orthography import InputError, MorphologyError, SuffixAlternation
 from .svf import ADJ, NOUN, PRESENT, UNKNOWN, VERB, Entry
 
 NOUN_FORMS = ("NS", "NP", "GS", "GP", "DS", "DP", "VS", "VP")
@@ -95,12 +95,12 @@ class RuleError(MorphologyError):
     """Base class for rule parsing and evaluation errors."""
 
 
-class RuleSyntaxError(RuleError):
-    """Malformed rule file (reported with a line number)."""
+class RuleSyntaxError(RuleError, InputError):
+    """Malformed rule file; .line, and .path once loaded, say where."""
 
 
-class UnknownFormCodeError(RuleError):
-    """A form code that does not exist or is invalid for the entry."""
+class UnknownFormCodeError(RuleSyntaxError):
+    """A form code that does not exist or is invalid for the part of speech."""
 
 
 class TransformOnEmptySourceError(RuleSyntaxError):
@@ -253,7 +253,7 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _parse_matcher(text: str, number: int) -> Rule:
+def _parse_matcher(text: str) -> Rule:
     pos = None
     gender = None
     irregular = None
@@ -261,37 +261,36 @@ def _parse_matcher(text: str, number: int) -> Rule:
     for raw in text.split("&"):
         pred = raw.strip()
         if not pred:
-            raise RuleSyntaxError(f"line {number}: empty predicate")
+            raise RuleSyntaxError("empty predicate")
         upper = pred.upper()
         if upper in svf.PARTS_OF_SPEECH:
             if pos is not None:
-                raise RuleSyntaxError(f"line {number}: duplicate part of speech")
+                raise RuleSyntaxError("duplicate part of speech")
             pos = upper
         elif upper in svf.GENDERS:
             if gender is not None:
-                raise RuleSyntaxError(f"line {number}: more than one gender")
+                raise RuleSyntaxError("more than one gender")
             gender = upper
         elif upper == "IRREG":
             irregular = True
         elif upper.partition("=")[0].strip() == "LEMMA":
             if lemma_is is not None:
-                raise RuleSyntaxError(f"line {number}: more than one LEMMA")
+                raise RuleSyntaxError("more than one LEMMA")
             value = pred.partition("=")[2].strip()
             if not (len(value) > 2 and value[0] == '"' and value[-1] == '"'):
-                raise RuleSyntaxError(f'line {number}: LEMMA needs a quoted word')
+                raise RuleSyntaxError('LEMMA needs a quoted word')
             lemma_is = orthography.canonical(value[1:-1])
             if not orthography.is_gaelic_word(lemma_is):
-                raise RuleSyntaxError(f"line {number}: LEMMA {lemma_is!r} is not a Gaelic word")
+                raise RuleSyntaxError(f"LEMMA {lemma_is!r} is not a Gaelic word")
         else:
-            raise RuleSyntaxError(f"line {number}: unknown predicate {pred!r}")
+            raise RuleSyntaxError(f"unknown predicate {pred!r}")
     if pos is None:
-        raise RuleSyntaxError(f"line {number}: rule needs NOUN, VERB or ADJ")
+        raise RuleSyntaxError("rule needs NOUN, VERB or ADJ")
     if gender is not None and "gender" not in svf.FIELDS_BY_POS[pos]:
-        raise RuleSyntaxError(f"line {number}: only nouns have a gender, not {pos}")
+        raise RuleSyntaxError(f"only nouns have a gender, not {pos}")
     if irregular and lemma_is is None:
         raise RuleSyntaxError(
-            f'line {number}: IRREG needs LEMMA="word"; irregular entries '
-            "take only special-case rules"
+            'IRREG needs LEMMA="word"; irregular entries take only special-case rules'
         )
     return Rule(pos, gender, irregular, lemma_is, derivations={})
 
@@ -310,30 +309,24 @@ def _split_outside_quotes(text: str, separator: str) -> list[str]:
     return parts + [text[start:]]
 
 
-def _parse_expression(text: str, target: str, pos: str, number: int) -> Derivation:
+def _parse_expression(text: str, target: str, pos: str) -> Derivation:
     expr = text.strip()
     if not expr:
-        raise RuleSyntaxError(f"line {number}: empty expression for {target}")
+        raise RuleSyntaxError(f"empty expression for {target}")
 
     suffix = None
     head, plus, quoted = expr.partition("+")
     if plus:
         pair = quoted.strip()
         if not (len(pair) >= 2 and pair[0] == '"' and pair[-1] == '"'):
-            raise RuleSyntaxError(
-                f"line {number}: suffix for {target} must be quoted"
-            )
+            raise RuleSyntaxError(f"suffix for {target} must be quoted")
         halves = [orthography.canonical(half) for half in pair[1:-1].split("|")]
         if len(halves) != 2 or not halves[0] or not halves[1]:
-            raise RuleSyntaxError(
-                f'line {number}: suffix must be a "broad|slender" pair'
-            )
+            raise RuleSyntaxError('suffix must be a "broad|slender" pair')
         for half in halves:
             # a surface must be canonical Gaelic text for recognize to find it
             if not orthography.is_gaelic_word(half):
-                raise RuleSyntaxError(
-                    f"line {number}: suffix {half!r} is not a Gaelic word"
-                )
+                raise RuleSyntaxError(f"suffix {half!r} is not a Gaelic word")
         suffix = SuffixAlternation(halves[0], halves[1])
         expr = head.strip()
 
@@ -341,65 +334,67 @@ def _parse_expression(text: str, target: str, pos: str, number: int) -> Derivati
     transforms = tuple(p.upper() for p in pieces[:-1])
     source = pieces[-1].upper()
     if not source:
-        raise TransformOnEmptySourceError(
-            f"line {number}: transform with no source in {text.strip()!r}"
-        )
+        raise TransformOnEmptySourceError(f"transform with no source in {text.strip()!r}")
     for transform in transforms:
         if transform not in _TRANSFORMS:
-            raise RuleSyntaxError(f"line {number}: unknown transform {transform!r}")
+            raise RuleSyntaxError(f"unknown transform {transform!r}")
     if source == "NS" and pos == NOUN:
         source = LEMMA
     if source not in _SOURCES_BY_POS[pos]:
-        raise RuleSyntaxError(
-            f"line {number}: source {source!r} is not available for {pos}"
-        )
+        raise RuleSyntaxError(f"source {source!r} is not available for {pos}")
     return Derivation(source=source, suffix=suffix, transforms=transforms)
 
 
 def parse_rules(text: str) -> RuleSet:
-    """Parse a rule file; raises RuleSyntaxError with a line number."""
+    """Parse a rule file's text.  A RuleSyntaxError raised for a line
+    carries its number as .line, so its str() begins "line N: "."""
     rules: list[Rule] = []
     current: Rule | None = None
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("*"):
-            current = _parse_matcher(line[1:], number)
-            rules.append(current)
-            continue
-        if current is None:
-            raise RuleSyntaxError(f"line {number}: derivation before any * line")
-        for chunk in _split_outside_quotes(line, ";"):
-            chunk = chunk.strip()
-            if not chunk:
+    try:
+        for number, raw in enumerate(text.splitlines(), start=1):
+            line = _strip_comment(raw).strip()
+            if not line:
                 continue
-            target_text, colon, expr_text = chunk.partition(":")
-            if not colon:
-                raise RuleSyntaxError(f"line {number}: expected TARGET: expression")
-            target = target_text.strip().upper()
-            pos = current.pos
-            if target not in FORMS_BY_POS[pos]:
-                if any(target in forms for forms in FORMS_BY_POS.values()):
-                    raise UnknownFormCodeError(
-                        f"line {number}: {target} is not a {pos} form"
-                    )
-                raise UnknownFormCodeError(f"line {number}: unknown form {target!r}")
-            if target in current.derivations:
-                raise RuleSyntaxError(
-                    f"line {number}: duplicate target {target} in one rule"
+            if line.startswith("*"):
+                current = _parse_matcher(line[1:])
+                rules.append(current)
+                continue
+            if current is None:
+                raise RuleSyntaxError("derivation before any * line")
+            for chunk in _split_outside_quotes(line, ";"):
+                chunk = chunk.strip()
+                if not chunk:
+                    continue
+                target_text, colon, expr_text = chunk.partition(":")
+                if not colon:
+                    raise RuleSyntaxError("expected TARGET: expression")
+                target = target_text.strip().upper()
+                pos = current.pos
+                if target not in FORMS_BY_POS[pos]:
+                    if any(target in forms for forms in FORMS_BY_POS.values()):
+                        raise UnknownFormCodeError(f"{target} is not a {pos} form")
+                    raise UnknownFormCodeError(f"unknown form {target!r}")
+                if target in current.derivations:
+                    raise RuleSyntaxError(f"duplicate target {target} in one rule")
+                alternatives = tuple(
+                    _parse_expression(alt, target, pos)
+                    for alt in _split_outside_quotes(expr_text, "|")
                 )
-            alternatives = tuple(
-                _parse_expression(alt, target, pos, number)
-                for alt in _split_outside_quotes(expr_text, "|")
-            )
-            current.derivations[target] = alternatives
+                current.derivations[target] = alternatives
+    except RuleSyntaxError as exc:
+        exc.line = number
+        raise
     return RuleSet(rules)
 
 
 def load_rules(path) -> RuleSet:
-    with open(path, encoding="utf-8-sig") as handle:
-        return parse_rules(handle.read())
+    """Parse a rule file; a RuleSyntaxError carries its path too, and a
+    file that cannot be read or is not UTF-8 raises InputError."""
+    try:
+        return parse_rules(orthography.read_text(path))
+    except RuleSyntaxError as exc:
+        exc.path = path
+        raise
 
 
 def default_rules() -> RuleSet:

@@ -39,7 +39,7 @@ _UNKNOWN = "unknown"
 _NON_EXISTENT = "nonexistent"
 
 
-class SvfError(ValueError):
+class SvfError(orthography.InputError):
     """Base class for vocabulary file errors."""
 
 
@@ -268,7 +268,9 @@ def load_vocabulary_file(path) -> tuple[list[Entry], list[tuple[int, SvfError]]]
 
     Blank lines, "#" comments and a leading byte-order mark are
     skipped.  A bad line never aborts the load; it is returned as a
-    (line number, error) pair instead.
+    (line number, error) pair instead, the error carrying the path and
+    line too.  A file that cannot be read or is not UTF-8 raises
+    InputError.
 
     A line that holds a record in the canonical layout, its words all
     in the alphabet, is read by one pattern match, and its parts and
@@ -280,9 +282,7 @@ def load_vocabulary_file(path) -> tuple[list[Entry], list[tuple[int, SvfError]]]
     otherwise goes to parse_svf_line, which accepts the same records
     and raises every error.
     """
-    # newline=None, the default, reads "\r\n" and "\r" as "\n"
-    with open(path, encoding="utf-8-sig") as handle:
-        lines = handle.read().split("\n")
+    lines = orthography.read_text(path).split("\n")
     entries = []
     errors = []
     record, new, markers = _RECORD.fullmatch, tuple.__new__, _MARKERS
@@ -298,6 +298,7 @@ def load_vocabulary_file(path) -> tuple[list[Entry], list[tuple[int, SvfError]]]
                 try:
                     entries.append(parse_svf_line(line))
                 except SvfError as exc:
+                    exc.path, exc.line = path, number
                     # without its traceback, which holds this frame and so
                     # makes a reference cycle through `errors`
                     errors.append((number, exc.with_traceback(None)))

@@ -72,9 +72,10 @@ def test_load_takes_the_header_below_comments_and_blank_lines(tmp_path, above):
 
 
 def test_load_takes_only_one_header(tmp_path):
-    fl = load_frequency_list(_freq(tmp_path, "# counts\nrank\nlexeme\n1\tcat\t10\n"))
+    path = _freq(tmp_path, "# counts\nrank\nlexeme\n1\tcat\t10\n")
+    fl = load_frequency_list(path)
     assert fl.rows == [(1, "cat", 10)]
-    assert fl.warnings == ["line 3: unparsable row 'lexeme'"]
+    assert list(map(str, fl.warnings)) == [f"{path}: line 3: unparsable row 'lexeme'"]
 
 
 def test_load_warns_on_bad_rows_and_order(tmp_path):
@@ -82,8 +83,8 @@ def test_load_warns_on_bad_rows_and_order(tmp_path):
         _freq(tmp_path, "1\tagus\t10\n2\tbroken\n3\tcat\t20\n")
     )
     assert len(fl.rows) == 2
-    assert any("line 2" in w for w in fl.warnings)
-    assert any("exceeds" in w for w in fl.warnings)
+    assert any(w.line == 2 for w in fl.warnings)
+    assert any("exceeds" in w.message for w in fl.warnings)
 
 
 def test_load_keeps_first_row_after_byte_order_mark(tmp_path):
@@ -99,9 +100,10 @@ def test_load_empty_file_raises(tmp_path):
 
 def test_load_warns_on_a_broken_first_row(tmp_path):
     # a first record with a number in it is data, not a header
-    fl = load_frequency_list(_freq(tmp_path, "# counts\n1\tcat\n2\tdog\t5\n"))
+    path = _freq(tmp_path, "# counts\n1\tcat\n2\tdog\t5\n")
+    fl = load_frequency_list(path)
     assert fl.rows == [(2, "dog", 5)]
-    assert fl.warnings == ["line 2: unparsable row '1\\tcat'"]
+    assert list(map(str, fl.warnings)) == [f"{path}: line 2: unparsable row '1\\tcat'"]
 
 
 _CELL_WORDS = st.text(alphabet="abcgilnorstuàòÀ", min_size=1, max_size=6)
@@ -133,6 +135,7 @@ def test_every_record_is_a_row_or_a_warning_naming_its_line(
     text = "".join(
         (item if isinstance(item, str) else delimiter.join(item)) + "\n" for item in lines
     )
+    path = tmp_path_factory.mktemp("freq") / "list.tsv"
     rows, unparsable, first = [], [], True
     for number, item in enumerate(lines, start=1):
         if isinstance(item, str):
@@ -141,9 +144,8 @@ def test_every_record_is_a_row_or_a_warning_naming_its_line(
         if row is not None:
             rows.append(row)
         elif not (first and not any(cell.isdigit() for cell in item)):  # not a header
-            unparsable.append(f"line {number}: unparsable row {delimiter.join(item)!r}")
+            unparsable.append(f"{path}: line {number}: unparsable row {delimiter.join(item)!r}")
         first = False
-    path = tmp_path_factory.mktemp("freq") / "list.tsv"
     path.write_text(text, encoding="utf-8")
     if not rows:
         with pytest.raises(FormatError):
@@ -151,7 +153,7 @@ def test_every_record_is_a_row_or_a_warning_naming_its_line(
         return
     fl = load_frequency_list(path)
     assert fl.rows == rows
-    assert [w for w in fl.warnings if ": unparsable row " in w] == unparsable
+    assert [str(w) for w in fl.warnings if w.message.startswith("unparsable row ")] == unparsable
 
 
 def test_coverage_hand_computed_oracle(tmp_path):

@@ -38,9 +38,11 @@ def test_validate_reports_bad_lines(capsys, tmp_path):
     assert "line 1" in out and "gender" in out
 
 
-def test_validate_missing_file(capsys):
-    code, _, err = run(capsys, "--vocab", "/nonexistent.svf", "validate")
-    assert code == 2 and "cannot read" in err
+def test_validate_missing_file(capsys, tmp_path):
+    missing = tmp_path / "missing.svf"
+    code, out, err = run(capsys, "--vocab", str(missing), "validate")
+    assert (code, out) == (2, "")
+    assert err == f"{missing}: cannot read (No such file or directory)\n"
 
 
 def test_validate_needs_vocab(capsys):
@@ -136,7 +138,7 @@ def test_expand_to_missing_directory_exits_2(capsys, tmp_path):
     out_path = tmp_path / "missing" / "x"
     code, out, err = run(capsys, "--vocab", VOCAB, "expand", "-o", str(out_path))
     assert (code, out) == (2, "")
-    assert err.startswith(f"cannot write {out_path}: ")
+    assert err.startswith(f"{out_path}: cannot write (")
 
 
 def test_expand_saoghal_only(capsys, tmp_path):
@@ -287,7 +289,7 @@ def test_frequency_list_without_a_parsable_row_exits_2(capsys, tmp_path):
     path.write_text("a b\nc d\n", encoding="utf-8")
     code, out, err = run(capsys, "stats", "hapax", "--freq", str(path))
     assert (code, out) == (2, "")
-    assert err == f"no parsable rows in {path}\n"
+    assert err == f"{path}: no parsable rows\n"
 
 
 def test_broken_first_row_of_a_frequency_list_is_warned_about(capsys, tmp_path):
@@ -413,7 +415,7 @@ def test_bad_selector_in_rule_file_exits_2(capsys, tmp_path):
     custom = tmp_path / "bad.grl"
     custom.write_text("* VERB & M\nVN: VN\n", encoding="utf-8")
     code, _, err = run(capsys, "--vocab", VOCAB, "--rules", str(custom), "inflect", "òl", "VN")
-    assert code == 2 and "bad rule file: line 1" in err
+    assert code == 2 and f"{custom}: line 1" in err
 
 
 def test_every_surface_expand_writes_is_recognized(capsys, tmp_path):
@@ -435,7 +437,7 @@ def test_suffix_outside_the_alphabet_exits_2_naming_its_line(capsys, tmp_path):
     custom.write_text('* ADJ\nPOS_ADJ: LEMMA\nCP: LEMMA+"an1|ean"\n', encoding="utf-8")
     code, out, err = run(capsys, "--vocab", VOCAB, "--rules", str(custom), "expand")
     assert (code, out) == (2, "")
-    assert err == "bad rule file: line 3: suffix 'an1' is not a Gaelic word\n"
+    assert err == f"{custom}: line 3: suffix 'an1' is not a Gaelic word\n"
 
 
 @pytest.mark.parametrize("value", ["cat1", 'a"b'])
@@ -444,7 +446,37 @@ def test_lemma_outside_the_alphabet_exits_2_naming_its_line(capsys, tmp_path, va
     custom.write_text(f'* NOUN & IRREG & LEMMA="{value}"\nNS: NS\n* NOUN\nNS: NS\n', encoding="utf-8")
     code, out, err = run(capsys, "--vocab", VOCAB, "--rules", str(custom), "expand")
     assert (code, out) == (2, "")
-    assert err == f"bad rule file: line 1: LEMMA {value!r} is not a Gaelic word\n"
+    assert err == f"{custom}: line 1: LEMMA {value!r} is not a Gaelic word\n"
+
+
+@pytest.mark.parametrize("given", ["--rules", "env", "bundled"])
+def test_rule_file_syntax_error_names_the_file_it_came_from(capsys, tmp_path, monkeypatch, given):
+    custom = tmp_path / f"{given}.grl"
+    custom.write_text("* NOUN\nNS: NS\n* VERB & M\nVN: VN\n", encoding="utf-8")
+    monkeypatch.delenv("GDMORPH_RULES", raising=False)
+    options = []
+    if given == "--rules":
+        options = ["--rules", str(custom)]
+    elif given == "env":
+        monkeypatch.setenv("GDMORPH_RULES", str(custom))
+    else:
+        monkeypatch.setattr(rules, "BUNDLED_RULES", str(custom))
+    code, out, err = run(capsys, "--vocab", VOCAB, *options, "decline", "saoghal")
+    assert (code, out) == (2, "")
+    assert err == f"{custom}: line 3: only nouns have a gender, not VERB\n"
+
+
+def test_export_inserts_refuses_a_vocabulary_with_a_bad_line(capsys, tmp_path):
+    vocab = tmp_path / "bad.svf"
+    vocab.write_text('VERB "òl" "òl"\nVERB M "ith" "ithe"\n', encoding="utf-8")
+    out_path = tmp_path / "inserts.sql"
+    code, out, err = run(capsys, "--vocab", str(vocab), "export", "inserts", "-o", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"{vocab}: line 2: gender is not allowed for VERB\n"
+        f"{vocab}: vocabulary has syntax errors; fix before exporting\n"
+    )
+    assert not out_path.exists()
 
 
 # a Latin-1 "à" or "ù" is one byte that no UTF-8 sequence starts with
@@ -453,7 +485,7 @@ def test_non_utf8_vocabulary_exits_2_naming_file_and_line(capsys, tmp_path):
     vocab.write_bytes(b'VERB "\xc3\xb2l" "\xc3\xb2l"\nNOUN M "c\xe0t" ? ?\n')
     code, out, err = run(capsys, "--vocab", str(vocab), "validate")
     assert (code, out) == (2, "")
-    assert err.startswith(f"cannot read vocabulary: {vocab}: line 2: not UTF-8")
+    assert err.startswith(f"{vocab}: line 2: not UTF-8")
 
 
 def test_non_utf8_rule_file_exits_2_naming_file_and_line(capsys, tmp_path):
@@ -461,7 +493,7 @@ def test_non_utf8_rule_file_exits_2_naming_file_and_line(capsys, tmp_path):
     custom.write_bytes(b"* VERB\nVN: VN # c\xf9\n")
     code, out, err = run(capsys, "--vocab", VOCAB, "--rules", str(custom), "conjugate", "òl")
     assert (code, out) == (2, "")
-    assert err.startswith(f"cannot read rules: {custom}: line 2: not UTF-8")
+    assert err.startswith(f"{custom}: line 2: not UTF-8")
 
 
 def test_non_utf8_bundled_rule_file_exits_2_naming_it_and_line(capsys, tmp_path, monkeypatch):
@@ -470,7 +502,7 @@ def test_non_utf8_bundled_rule_file_exits_2_naming_it_and_line(capsys, tmp_path,
     monkeypatch.setattr(rules, "BUNDLED_RULES", str(bundled))
     code, out, err = run(capsys, "--vocab", VOCAB, "inflect", "saoghal", "DP")
     assert (code, out) == (2, "")
-    assert err == f"cannot read rules: {bundled}: line 1: not UTF-8 (invalid start byte)\n"
+    assert err == f"{bundled}: line 1: not UTF-8 (invalid start byte)\n"
 
 
 def test_bundled_rule_file_with_byte_order_mark_loads(capsys, tmp_path, monkeypatch):
@@ -489,7 +521,7 @@ def test_non_utf8_frequency_list_exits_2_naming_file_and_line(capsys, tmp_path):
     freq.write_bytes(b"1\tcat\t10\n2\tc\xf9\t3\n")
     code, out, err = run(capsys, "stats", "hapax", "--freq", str(freq))
     assert (code, out) == (2, "")
-    assert err.startswith(f"cannot read frequency list: {freq}: line 2: not UTF-8")
+    assert err.startswith(f"{freq}: line 2: not UTF-8")
 
 
 def test_dropped_frequency_row_is_reported_on_stderr(capsys, tmp_path):
@@ -662,7 +694,8 @@ nouns with unknown part\t3 (60.0%)
 def test_validate_prints_the_whole_summary(capsys, tmp_path, fmt, expected):
     path = tmp_path / "mix.svf"
     path.write_text(_VALIDATE_MIX, encoding="utf-8")
-    assert run(capsys, "--vocab", str(path), "--format", fmt, "validate") == (2, expected, "")
+    # the bad line is named by its file, then the line
+    assert run(capsys, "--vocab", str(path), "--format", fmt, "validate") == (2, f"{path}: {expected}", "")
 
 
 def test_validate_without_nouns_leaves_out_the_noun_line(capsys, tmp_path):

@@ -408,3 +408,16 @@ def test_strip_prothesis_matches_the_prefix_loop_on_every_first_character(rest):
     words = [chr(point) + rest for point in range(sys.maxunicode + 1)]
     differ = [word for word in words if strip_prothesis(word) != _reference_strip_prothesis(word)]
     assert differ == []
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_read_text_names_the_first_line_that_is_not_utf8(tmp_path, newline):
+    path = tmp_path / "latin1.txt"
+    lines = [b"\xef\xbb\xbfok", "càt".encode(), b"c\xe0t", b"\xff"]
+    path.write_bytes(newline.join(lines[:2]) + newline)
+    assert orth.read_text(path) == "ok\ncàt\n"
+    path.write_bytes(newline.join(lines))
+    with pytest.raises(orth.InputError) as raised:
+        orth.read_text(path)
+    assert (raised.value.path, raised.value.line) == (path, 3)
+    assert str(raised.value) == f"{path}: line 3: not UTF-8 (invalid continuation byte)"

@@ -5,8 +5,11 @@ input.
 per-character definitions they replaced, kept here as references.  The
 vocabulary loader's one-pattern path is checked against parse_svf_line,
 the tokenizer path, which reads every line, and its read loop against
-that function applied line by line.
+that function applied line by line.  A rule file with one bad line
+inserted must name that line and the file.
 """
+
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -186,14 +189,17 @@ def vocab_path(tmp_path_factory):
 
 
 def _load(path, text: str):
-    """load_vocabulary_file on the text, each error as (line, type, message)."""
+    """load_vocabulary_file on the text, each error as (line, type,
+    message); each error also carries its line and the path."""
     path.write_bytes(text.encode("utf-8"))
     entries, errors = svf.load_vocabulary_file(path)
     for entry in entries:
         assert type(entry) is Entry
         parts = (getattr(entry, field) for field in svf.PART_FIELDS)
         assert all(value is None or type(value) is PartValue for value in parts)
-    return entries, [(number, type(error), str(error)) for number, error in errors]
+    for number, error in errors:
+        assert (error.line, error.path) == (number, path)
+    return entries, [(number, type(error), error.message) for number, error in errors]
 
 
 def reference_load(lines: list[str]):
@@ -253,6 +259,44 @@ def test_parse_rules_raises_only_rule_errors(text):
         rules.parse_rules(text)
     except rules.RuleError:
         pass
+
+
+BUNDLED_LINES = Path(rules.BUNDLED_RULES).read_text(encoding="utf-8").splitlines()
+
+# a line that fails wherever it stands, even before the first "*" line
+bad_rule_lines = st.one_of(
+    # a bad selector
+    st.sampled_from(["NOUN & M & F", "VERB & M", "ADJ & IRREG", "CAT", "NOUN &"]).map("* ".__add__),
+    # a bad second ";" chunk
+    st.tuples(
+        st.sampled_from(["NS: NS", "VN: VN", "CP: LEMMA"]),
+        st.sampled_from(["NP NP", "GS: Q/GS", 'NP: LEMMA+"an"', ": NS"]),
+    ).map("; ".join),
+    # a bad "|" alternative
+    st.tuples(
+        st.sampled_from(["NS: NS", "VN: VN", "CP: LEMMA"]),
+        st.sampled_from(["H/", "Q/LEMMA", "XX", 'LEMMA+"a1|e"', ""]),
+    ).map(" | ".join),
+    # an unknown form code
+    st.sampled_from(["XX", "NSS", "PAST", "GEN"]).map("{}: LEMMA".format),
+)
+
+
+@pytest.fixture(scope="module")
+def rule_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("rules") / "edited.grl"
+
+
+@settings(max_examples=200)
+@given(st.integers(1, len(BUNDLED_LINES) + 1), bad_rule_lines)
+def test_a_bad_rule_line_is_named_by_its_file_and_line(rule_path, k, bad):
+    lines = [*BUNDLED_LINES[: k - 1], bad, *BUNDLED_LINES[k - 1 :]]
+    rule_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(rules.RuleSyntaxError) as raised:
+        rules.load_rules(rule_path)
+    exc = raised.value
+    assert (exc.line, exc.path) == (k, rule_path)
+    assert str(exc) == f"{rule_path}: line {k}: {exc.message}"
 
 
 BUNDLED_SUFFIXES = sorted({
