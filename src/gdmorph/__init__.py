@@ -29,6 +29,8 @@ from .lexicon import (
     surface_forms,
 )
 from .orthography import (
+    InputError,
+    MorphologyError,
     SuffixAlternation,
     attach_suffix,
     canonical,

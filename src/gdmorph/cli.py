@@ -42,6 +42,10 @@ def _load_vocab(args) -> lexicon.Vocabulary:
 
 
 def _load_rules(args) -> rules.RuleSet:
+    """The --rules file, else $GDMORPH_RULES, else the bundled rules;
+    an empty --rules is an error, an empty $GDMORPH_RULES is unset."""
+    if args.rules == "":
+        raise InputError("--rules names no file")
     return rules.load_rules(args.rules or os.environ.get(ENV_RULES) or rules.BUNDLED_RULES)
 
 

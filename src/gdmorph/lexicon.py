@@ -15,11 +15,11 @@ from collections.abc import Sequence
 from functools import cached_property
 
 from . import orthography, rules, svf
-from .orthography import EXACT, FOLD_ACCENTS, FOLD_ACCENTS_CASE, fold_key
+from .orthography import EXACT, fold_key
 from .rules import RuleSet
 from .svf import Entry
 
-FOLD_POLICIES = (EXACT, FOLD_ACCENTS, FOLD_ACCENTS_CASE)
+FOLD_POLICIES = tuple(orthography.FOLDS)
 
 
 class Vocabulary:
@@ -175,15 +175,6 @@ def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> Vocabular
     return Vocabulary(found, fold_policy=policy)
 
 
-def _exact_or_folded(
-    index: AllFormsIndex, word: str, exact: bool = True
-) -> Sequence[tuple[Entry, str]]:
-    hits = index.form_index.get(word) if exact else None
-    if hits is None and index.fold_policy != EXACT:
-        hits = index._folded.get(fold_key(word, index.fold_policy))
-    return hits or ()
-
-
 def recognize(index: AllFormsIndex, word: str) -> list[tuple[Entry, str]]:
     """All (entry, form code) analyses of a word found in text.
 
@@ -198,13 +189,24 @@ def recognize(index: AllFormsIndex, word: str) -> list[tuple[Entry, str]]:
     """
     hits = index.form_index.get(word)
     if hits is None:
-        query = orthography.canonical(word)
-        hits = _exact_or_folded(index, query, exact=query != word)
+        # NFC leaves ASCII as it is, and ’ is not ASCII, so an ASCII word
+        # is its own canonical spelling, which has just missed
+        query = word if word.isascii() else orthography.canonical(word)
+        if query != word:
+            hits = index.form_index.get(query)
+        fold = None if index.fold_policy == EXACT else orthography.FOLDS[index.fold_policy]
+        if hits is None and fold is not None:
+            hits = index._folded.get(fold(query))
         if not hits:
             stripped = orthography.strip_prothesis(query)
-            if stripped != query:
-                hits = _exact_or_folded(index, stripped)
-    return list(hits)
+            if stripped is query:
+                return []
+            hits = index.form_index.get(stripped)
+            if hits is None and fold is not None:
+                hits = index._folded.get(fold(stripped))
+            if not hits:
+                return []
+    return [*hits]  # a copy the caller may change
 
 
 # part of speech -> form code -> position in the paradigm, LEMMA last

@@ -50,6 +50,8 @@ _STRIP_ACCENTS = str.maketrans(
     _GRAVE_VOWELS + _ACUTE_VOWELS + _GRAVE_VOWELS.upper() + _ACUTE_VOWELS.upper(),
     _PLAIN_VOWELS * 2 + _PLAIN_VOWELS.upper() * 2,
 )
+# the same map over Latin-1 bytes, which hold every accented vowel
+_STRIP_ACCENTS_LATIN1 = bytes(_STRIP_ACCENTS.get(byte, byte) for byte in range(256))
 
 _GAELIC_LETTERS = set("abcdefghilmnoprstu") | set(_GRAVE_VOWELS) | set(_ACUTE_VOWELS)
 _LETTER_CLASS = "".join(sorted(_GAELIC_LETTERS | {c.upper() for c in _GAELIC_LETTERS}))
@@ -163,23 +165,37 @@ def normalize_accents(word: str, mode: str = FOLD_ACUTE_TO_GRAVE) -> str:
     if mode == FOLD_ACUTE_TO_GRAVE:
         return word.translate(_ACUTE_TO_GRAVE)
     if mode == STRIP_ALL:
-        return word.translate(_STRIP_ACCENTS)
+        return _strip_accents(word)
     if mode == NO_FOLD:
         return word
     raise ValueError(f"unknown accent mode: {mode!r}")
 
 
+def _strip_accents(text: str) -> str:
+    """Text with every accented vowel made plain."""
+    if text.isascii():  # _STRIP_ACCENTS maps only non-ASCII vowels
+        return text
+    try:
+        data = text.encode("latin-1")
+    except UnicodeEncodeError:
+        return text.translate(_STRIP_ACCENTS)
+    return data.translate(_STRIP_ACCENTS_LATIN1).decode("latin-1")
+
+
+# fold policy -> the function that folds a word to its key
+FOLDS = {
+    EXACT: lambda word: word,
+    FOLD_ACCENTS: _strip_accents,
+    FOLD_ACCENTS_CASE: lambda word: _strip_accents(word).casefold(),
+}
+
+
 def fold_key(word: str, policy: str = EXACT) -> str:
     """Fold a word to its lookup key under the given policy."""
-    if policy == EXACT:
-        return word
-    # _STRIP_ACCENTS maps only non-ASCII vowels
-    stripped = word if word.isascii() else word.translate(_STRIP_ACCENTS)
-    if policy == FOLD_ACCENTS:
-        return stripped
-    if policy == FOLD_ACCENTS_CASE:
-        return stripped.casefold()
-    raise ValueError(f"unknown fold policy: {policy!r}")
+    fold = FOLDS.get(policy)
+    if fold is None:
+        raise ValueError(f"unknown fold policy: {policy!r}")
+    return fold(word)
 
 
 def last_vowel_class(word: str) -> str:

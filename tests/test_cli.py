@@ -371,6 +371,15 @@ def test_rules_env_override(capsys, tmp_path, monkeypatch):
     assert code == 0 and out.strip() == "shaoghal"
 
 
+def test_empty_rules_flag_exits_2_and_empty_env_is_unset(capsys, monkeypatch):
+    monkeypatch.delenv("GDMORPH_RULES", raising=False)
+    code, out, err = run(capsys, "--vocab", VOCAB, "--rules", "", "inflect", "saoghal", "DP")
+    assert (code, out, err) == (2, "", "--rules names no file\n")
+    monkeypatch.setenv("GDMORPH_RULES", "")
+    code, out, _ = run(capsys, "--vocab", VOCAB, "inflect", "saoghal", "DP")
+    assert (code, out) == (0, "saoghalan\n")
+
+
 def test_rules_flag_beats_default(capsys, tmp_path):
     custom = tmp_path / "custom.grl"
     custom.write_text("* NOUN & M\nNS: SL/NS\n", encoding="utf-8")

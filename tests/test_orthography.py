@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gdmorph
 from gdmorph import orthography as orth
 from gdmorph.orthography import (
     BROAD,
@@ -292,6 +293,30 @@ def test_fold_key_matches_translate_reference(word, policy):
     assert orth.fold_key(word, policy) == reference
 
 
+# every accented vowel, plain letters, other Latin-1 letters, and
+# characters above U+00FF that leave the text out of Latin-1
+_LATIN1_AND_BEYOND = st.text(
+    alphabet="àèìòùáéíóúÀÈÌÒÙÁÉÍÓÚ" + "aeoTh-'" + "ßÿñÇ" + "’\u0300Ŵ", max_size=12
+)
+
+
+@given(_LATIN1_AND_BEYOND, st.sampled_from([orth.EXACT, orth.FOLD_ACCENTS, orth.FOLD_ACCENTS_CASE]))
+def test_accent_strip_matches_translate_on_and_off_latin1(text, policy):
+    stripped = text.translate(orth._STRIP_ACCENTS)
+    assert normalize_accents(text, orth.STRIP_ALL) == stripped
+    reference = {
+        orth.EXACT: text,
+        orth.FOLD_ACCENTS: stripped,
+        orth.FOLD_ACCENTS_CASE: stripped.casefold(),
+    }[policy]
+    assert orth.fold_key(text, policy) == reference
+
+
+def test_an_unknown_fold_policy_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown fold policy: 'accent'"):
+        orth.fold_key("mòr", "accent")
+
+
 # The index walks the compiled patterns replaced, kept verbatim as the
 # references they are checked against.
 def _reference_letter_segments(word: str) -> list[str]:
@@ -421,3 +446,8 @@ def test_read_text_names_the_first_line_that_is_not_utf8(tmp_path, newline):
         orth.read_text(path)
     assert (raised.value.path, raised.value.line) == (path, 3)
     assert str(raised.value) == f"{path}: line 3: not UTF-8 (invalid continuation byte)"
+
+
+def test_the_package_exports_both_error_classes():
+    assert gdmorph.InputError is orth.InputError
+    assert gdmorph.MorphologyError is orth.MorphologyError
