@@ -22,7 +22,7 @@ from .orthography import InputError, MorphologyError
 
 ENV_RULES = "GDMORPH_RULES"
 
-_ACCENT_MODES = (orthography.FOLD_ACUTE_TO_GRAVE, orthography.STRIP_ALL, orthography.NO_FOLD)
+_ACCENT_MODES = tuple(orthography.ACCENT_MODES)
 
 
 def _read_vocab(args):

@@ -69,6 +69,8 @@ class AllFormsIndex:
     with a word as written before canonicalizing it."""
 
     def __init__(self, fold_policy: str = EXACT):
+        if fold_policy not in FOLD_POLICIES:
+            raise ValueError(f"unknown fold policy: {fold_policy!r}")
         self.fold_policy = fold_policy
         self.form_index: dict[str, tuple[tuple[Entry, str], ...]] = {}
         self.failures: list[tuple[str, str, str]] = []

@@ -162,13 +162,10 @@ def normalize_accents(word: str, mode: str = FOLD_ACUTE_TO_GRAVE) -> str:
 
     Length, case and all non-vowel characters are preserved.
     """
-    if mode == FOLD_ACUTE_TO_GRAVE:
-        return word.translate(_ACUTE_TO_GRAVE)
-    if mode == STRIP_ALL:
-        return _strip_accents(word)
-    if mode == NO_FOLD:
-        return word
-    raise ValueError(f"unknown accent mode: {mode!r}")
+    normalize = ACCENT_MODES.get(mode)
+    if normalize is None:
+        raise ValueError(f"unknown accent mode: {mode!r}")
+    return normalize(word)
 
 
 def _strip_accents(text: str) -> str:
@@ -181,6 +178,13 @@ def _strip_accents(text: str) -> str:
         return text.translate(_STRIP_ACCENTS)
     return data.translate(_STRIP_ACCENTS_LATIN1).decode("latin-1")
 
+
+# accent mode -> the function that normalize_accents applies
+ACCENT_MODES = {
+    FOLD_ACUTE_TO_GRAVE: lambda word: word.translate(_ACUTE_TO_GRAVE),
+    STRIP_ALL: _strip_accents,
+    NO_FOLD: lambda word: word,
+}
 
 # fold policy -> the function that folds a word to its key
 FOLDS = {

@@ -407,10 +407,12 @@ def default_rules() -> RuleSet:
 Failure = tuple[type, str]
 
 
-def _run(entry: Entry, selection: Selection) -> tuple[list, bool]:
-    """Every value of the entry's plan, each computed once, and whether
-    any of them is a failure.  A source's value is the lemma or a
-    part's text, None when the part is marked non-existent."""
+def _run(entry: Entry, selection: Selection) -> tuple[list, dict[str, Failure]]:
+    """Every value of the entry's plan, each computed once, and the
+    failure of each form code that cannot be derived, in paradigm order:
+    the first failed value among its alternatives, or no rule defining
+    it.  A source's value is the lemma or a part's text, None when the
+    part is marked non-existent; a failed value is a Failure."""
     values = []
     failed = False
     for source, field in selection.sources:
@@ -437,16 +439,11 @@ def _run(entry: Entry, selection: Selection) -> tuple[list, bool]:
                 base = exc.__class__, str(exc)
                 failed = True
         values.append(base)
-    return values, failed
-
-
-def _failures(
-    entry: Entry, selection: Selection, values: list, forms: tuple[str, ...]
-) -> dict[str, Failure]:
-    """The failure of each form code that cannot be derived: the first
-    failed value among its alternatives, or no rule defining it."""
     failures = {}
-    for form in forms:
+    codes = FORMS_BY_POS.get(entry.pos, ())
+    if not failed and len(selection.forms) == len(codes):
+        return values, failures
+    for form in codes:
         ends = selection.forms.get(form)
         if ends is None:
             if not entry.irregular:
@@ -462,7 +459,7 @@ def _failures(
             if values[end].__class__ is tuple:
                 failures[form] = values[end]
                 break
-    return failures
+    return values, failures
 
 
 class Paradigm(NamedTuple):
@@ -472,18 +469,15 @@ class Paradigm(NamedTuple):
     errors: dict[str, str]
 
 
-def _paradigm(
-    entry: Entry, ruleset: RuleSet, forms: tuple[str, ...]
-) -> tuple[Paradigm, dict[str, Failure]]:
+def _paradigm(entry: Entry, ruleset: RuleSet) -> tuple[Paradigm, dict[str, Failure]]:
     """The variants of each form code that can be derived, and the
     failure of each one that cannot."""
     selection = ruleset.select(entry)
-    values, _ = _run(entry, selection)
-    failures = _failures(entry, selection, values, forms)
+    values, failures = _run(entry, selection)
     paradigm = Paradigm(cells={}, errors={form: text for form, (_, text) in failures.items()})
-    for form in forms:
+    for form, ends in selection.forms.items():
         if form not in failures:
-            variants = (values[end] for end in selection.forms[form])
+            variants = (values[end] for end in ends)
             paradigm.cells[form] = list(dict.fromkeys(v for v in variants if v is not None))
     return paradigm, failures
 
@@ -496,8 +490,8 @@ def inflect(entry: Entry, form: str, ruleset: RuleSet) -> list[str]:
     """
     if form not in FORMS_BY_POS.get(entry.pos, ()):
         raise UnknownFormCodeError(f"{form} is not a {entry.pos} form")
-    paradigm, failures = _paradigm(entry, ruleset, (form,))
-    if failures:
+    paradigm, failures = _paradigm(entry, ruleset)
+    if form in failures:
         error, message = failures[form]
         raise error(message)
     return paradigm.cells[form]
@@ -507,7 +501,7 @@ def decline(entry: Entry, ruleset: RuleSet) -> Paradigm:
     """All eight noun case/number cells; failures reported per cell."""
     if entry.pos != NOUN:
         raise ValueError(f"decline needs a noun, got {entry.pos}")
-    return _paradigm(entry, ruleset, NOUN_FORMS)[0]
+    return _paradigm(entry, ruleset)[0]
 
 
 def conjugate(entry: Entry, ruleset: RuleSet) -> Paradigm:
@@ -518,7 +512,7 @@ def conjugate(entry: Entry, ruleset: RuleSet) -> Paradigm:
         raise IrregularUnsupportedError(
             f"{entry.lemma} is irregular and no special-case rule covers it"
         )
-    return _paradigm(entry, ruleset, VERB_FORMS)[0]
+    return _paradigm(entry, ruleset)[0]
 
 
 Analyses = tuple[tuple[Entry, str], ...]
@@ -537,15 +531,12 @@ def derive_forms(
     varies, unless that spelling is already a form in its own right.
     """
     selection = ruleset.select(entry)
-    values, failed = _run(entry, selection)
-    pos_forms = FORMS_BY_POS.get(entry.pos, ())
-    errors = {}
-    if failed or len(selection.forms) < len(pos_forms):
-        failures = _failures(entry, selection, values, pos_forms)
-        errors = {code: message for code, (_, message) in failures.items()}
+    values, failures = _run(entry, selection)
+    # most entries fail no code, and their empty failures serve as errors
+    errors = failures and {code: message for code, (_, message) in failures.items()}
     forms: dict[str, Analyses] = {}
     for code, ends in selection.forms.items():
-        if code in errors:
+        if code in failures:
             continue
         analysis = (entry, code)
         for end in ends:

@@ -15,6 +15,8 @@ from gdmorph.rules import (
     FORMS_BY_POS,
     IrregularUnsupportedError,
     NoRuleMatchesError,
+    conjugate,
+    decline,
     derive_forms,
     inflect,
     parse_rules,
@@ -156,13 +158,36 @@ def test_compiled_table_agrees_with_first_match_scan(text, entry_list):
     ruleset = parse_rules(text)
     for entry in entry_list:
         expected_errors = {}
+        expected_cells = {}
         for form in FORMS_BY_POS[entry.pos]:
             expected = _outcome(reference_inflect, entry, form, ruleset)
             assert _outcome(inflect, entry, form, ruleset) == expected, form
             if isinstance(expected, tuple):
                 expected_errors[form] = expected[1]
+            else:
+                expected_cells[form] = expected
         forms, failures = derive_forms(entry, ruleset)
         assert failures == expected_errors
+        _assert_paradigm_agrees(entry, ruleset, expected_cells, expected_errors)
+
+
+def _assert_paradigm_agrees(entry, ruleset, expected_cells, expected_errors):
+    """decline and conjugate give the per-form reference's cells and
+    errors, both in paradigm order; an irregular verb that no rule
+    covers raises instead, with the message each form's reference gave."""
+    paradigm_of = {NOUN: decline, VERB: conjugate}.get(entry.pos)
+    if paradigm_of is None:
+        return
+    uncovered = f"{entry.lemma} is irregular and no special-case rule covers it"
+    if entry.pos == VERB and uncovered in expected_errors.values():
+        assert set(expected_errors.values()) == {uncovered}
+        expected = IrregularUnsupportedError, uncovered
+    else:
+        expected = list(expected_cells.items()), list(expected_errors.items())
+    outcome = _outcome(paradigm_of, entry, ruleset)
+    if isinstance(outcome, rules.Paradigm):
+        outcome = list(outcome.cells.items()), list(outcome.errors.items())
+    assert outcome == expected
 
 
 def reference_derive_forms(entry: Entry, ruleset: rules.RuleSet):

@@ -184,6 +184,13 @@ def test_recognize_miss_is_empty(entries, ruleset):
     assert recognize(index, "zzz") == []
 
 
+@pytest.mark.parametrize("make", [lambda policy: Vocabulary([], policy), lexicon.AllFormsIndex])
+def test_unknown_fold_policy_is_refused_when_made(make):
+    # a bad policy found only at the first folded lookup would be a KeyError
+    with pytest.raises(ValueError, match="unknown fold policy: 'bogus'"):
+        make("bogus")
+
+
 def test_recognize_every_indexed_form(ruleset):
     entries, errors = svf.load_vocabulary_file(DATA / "coverage20.svf")
     assert not errors

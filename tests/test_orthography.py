@@ -165,6 +165,12 @@ def test_normalize_accents_none_is_identity():
     assert normalize_accents("céilidh", orth.NO_FOLD) == "céilidh"
 
 
+def test_normalize_accents_refuses_an_unknown_mode():
+    assert set(orth.ACCENT_MODES) == {orth.FOLD_ACUTE_TO_GRAVE, orth.STRIP_ALL, orth.NO_FOLD}
+    with pytest.raises(ValueError, match="unknown accent mode: 'grave'"):
+        normalize_accents("mór", "grave")
+
+
 def test_canonical_composes_and_fixes_apostrophes():
     decomposed = "mòr"  # o + combining grave
     assert orth.canonical(decomposed) == "mòr"
