@@ -66,7 +66,11 @@ class AllFormsIndex:
     """Surface form -> its (entry, form code) analyses in recognize
     order, over a whole vocabulary.  Every key is canonical text
     (orthography.canonical leaves it unchanged), so recognize can probe
-    with a word as written before canonicalizing it."""
+    with a word as written before canonicalizing it.
+
+    An index is read-only once built: the folded spellings and the
+    resolved words that recognize fills in as it is used are never
+    brought up to date with a later change to form_index."""
 
     def __init__(self, fold_policy: str = EXACT):
         if fold_policy not in FOLD_POLICIES:
@@ -74,6 +78,9 @@ class AllFormsIndex:
         self.fold_policy = fold_policy
         self.form_index: dict[str, tuple[tuple[Entry, str], ...]] = {}
         self.failures: list[tuple[str, str, str]] = []
+        # a word as written that is not a surface -> what recognize found
+        # for it, () for a miss; never more entries than form_index has
+        self._resolved: dict[str, Sequence[tuple[Entry, str]]] = {}
 
     @cached_property
     def _folded(self) -> dict[str, Sequence[tuple[Entry, str]]]:
@@ -186,29 +193,39 @@ def recognize(index: AllFormsIndex, word: str) -> list[tuple[Entry, str]]:
     probe gives the answers of the second only because every surface of
     the index is canonical (orthography.canonical leaves it unchanged),
     as the SVF loader and the rule parser guarantee; an Entry built by
-    hand must hold canonical text too.  The result is naturally
+    hand must hold canonical text too.  A word that misses as written
+    is resolved once per index, and later calls read what was found, so
+    the index must not change once built.  The result is naturally
     many-valued: one spelling can realize several forms.
     """
     hits = index.form_index.get(word)
     if hits is None:
-        # NFC leaves ASCII as it is, and ’ is not ASCII, so an ASCII word
-        # is its own canonical spelling, which has just missed
-        query = word if word.isascii() else orthography.canonical(word)
-        if query != word:
-            hits = index.form_index.get(query)
-        fold = None if index.fold_policy == EXACT else orthography.FOLDS[index.fold_policy]
-        if hits is None and fold is not None:
-            hits = index._folded.get(fold(query))
-        if not hits:
-            stripped = orthography.strip_prothesis(query)
-            if stripped is query:
-                return []
-            hits = index.form_index.get(stripped)
-            if hits is None and fold is not None:
-                hits = index._folded.get(fold(stripped))
-            if not hits:
-                return []
+        resolved = index._resolved
+        hits = resolved.get(word)
+        if hits is None:
+            hits = _resolve(index, word)
+            if len(resolved) < len(index.form_index):
+                resolved[word] = hits
     return [*hits]  # a copy the caller may change
+
+
+def _resolve(index: AllFormsIndex, word: str) -> Sequence[tuple[Entry, str]]:
+    """The analyses recognize gives a word that is not a surface as
+    written, () when there are none."""
+    query = orthography.canonical(word)
+    # the word as written has just missed
+    hits = index.form_index.get(query) if query != word else None
+    fold = None if index.fold_policy == EXACT else orthography.FOLDS[index.fold_policy]
+    if hits is None and fold is not None:
+        hits = index._folded.get(fold(query))
+    if not hits:
+        stripped = orthography.strip_prothesis(query)
+        if stripped is query:
+            return ()
+        hits = index.form_index.get(stripped)
+        if hits is None and fold is not None:
+            hits = index._folded.get(fold(stripped))
+    return hits or ()
 
 
 # part of speech -> form code -> position in the paradigm, LEMMA last

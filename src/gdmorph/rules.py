@@ -471,8 +471,13 @@ class Paradigm(NamedTuple):
 
 def _paradigm(entry: Entry, ruleset: RuleSet) -> tuple[Paradigm, dict[str, Failure]]:
     """The variants of each form code that can be derived, and the
-    failure of each one that cannot."""
+    failure of each one that cannot.  An irregular entry that no rule
+    matches raises, since none of its codes can be derived."""
     selection = ruleset.select(entry)
+    if entry.irregular and not selection.matched:
+        raise IrregularUnsupportedError(
+            f"{entry.lemma} is irregular and no special-case rule covers it"
+        )
     values, failures = _run(entry, selection)
     paradigm = Paradigm(cells={}, errors={form: text for form, (_, text) in failures.items()})
     for form, ends in selection.forms.items():
@@ -498,20 +503,18 @@ def inflect(entry: Entry, form: str, ruleset: RuleSet) -> list[str]:
 
 
 def decline(entry: Entry, ruleset: RuleSet) -> Paradigm:
-    """All eight noun case/number cells; failures reported per cell."""
+    """All eight noun case/number cells; failures reported per cell,
+    except an irregular noun that no rule covers, which raises."""
     if entry.pos != NOUN:
         raise ValueError(f"decline needs a noun, got {entry.pos}")
     return _paradigm(entry, ruleset)[0]
 
 
 def conjugate(entry: Entry, ruleset: RuleSet) -> Paradigm:
-    """Every verb form cell; failures reported per cell."""
+    """Every verb form cell; failures reported per cell, except an
+    irregular verb that no rule covers, which raises."""
     if entry.pos != VERB:
         raise ValueError(f"conjugate needs a verb, got {entry.pos}")
-    if entry.irregular and not ruleset.select(entry).matched:
-        raise IrregularUnsupportedError(
-            f"{entry.lemma} is irregular and no special-case rule covers it"
-        )
     return _paradigm(entry, ruleset)[0]
 
 

@@ -124,6 +124,14 @@ def test_conjugate_irregular_rejected(capsys, tmp_path):
     assert code == 1 and "irregular" in err
 
 
+def test_decline_irregular_rejected_once(capsys, tmp_path):
+    path = tmp_path / "irr.svf"
+    path.write_text('NOUN F "bean" "mnathan" "mnà" IRREG\n', encoding="utf-8")
+    code, out, err = run(capsys, "--vocab", str(path), "decline", "bean")
+    assert code == 1 and out == ""
+    assert err == "bean is irregular and no special-case rule covers it\n"
+
+
 def test_expand_to_file(capsys, tmp_path):
     out_path = tmp_path / "forms.txt"
     code, out, _ = run(capsys, "--vocab", VOCAB, "expand", "-o", str(out_path))

@@ -173,13 +173,13 @@ def test_compiled_table_agrees_with_first_match_scan(text, entry_list):
 
 def _assert_paradigm_agrees(entry, ruleset, expected_cells, expected_errors):
     """decline and conjugate give the per-form reference's cells and
-    errors, both in paradigm order; an irregular verb that no rule
+    errors, both in paradigm order; an irregular entry that no rule
     covers raises instead, with the message each form's reference gave."""
     paradigm_of = {NOUN: decline, VERB: conjugate}.get(entry.pos)
     if paradigm_of is None:
         return
     uncovered = f"{entry.lemma} is irregular and no special-case rule covers it"
-    if entry.pos == VERB and uncovered in expected_errors.values():
+    if uncovered in expected_errors.values():
         assert set(expected_errors.values()) == {uncovered}
         expected = IrregularUnsupportedError, uncovered
     else:

@@ -428,13 +428,36 @@ def test_recognize_matches_the_set_based_reference(ruleset, lines, policy, other
             analyses = recognize(index, word)
             assert analyses == _reference_recognize(reference, word), word
             assert len(set(analyses)) == len(analyses), word
+            # a second query of a word that is not a surface reads what the
+            # first one resolved
+            assert recognize(index, word) == analyses, word
 
 
 def test_appending_to_a_result_leaves_the_index_alone(entries, ruleset):
     index = build_all_forms(Vocabulary(entries), ruleset)
-    first = recognize(index, "saoghal")
-    first.append(first[0])
-    assert recognize(index, "saoghal") == first[:-1]
+    for word in ("saoghal", "t-saoghal"):
+        recognize(index, word)  # resolves t-saoghal, so the next call reads that
+        first = recognize(index, word)
+        first.append(first[0])
+        assert recognize(index, word) == first[:-1], word
+
+
+@pytest.mark.parametrize("policy", lexicon.FOLD_POLICIES)
+def test_resolved_words_never_outnumber_the_surfaces(entries, ruleset, policy):
+    vocabulary = Vocabulary(entries, fold_policy=policy)
+    index = build_all_forms(vocabulary, ruleset)
+    reference = _reference_build(vocabulary, ruleset)
+    surfaces = len(index.form_index)
+    for n in range(2 * surfaces):
+        assert recognize(index, f"zz{n}") == []
+        assert len(index._resolved) <= surfaces
+    assert len(index._resolved) == surfaces
+    assert set(index._resolved.values()) == {()}
+    # a spelling met once the memo is full is still resolved, not remembered
+    for word in ("t-saoghal", "SAOGHAL", "saoghàlan"):
+        assert recognize(index, word) == _reference_recognize(reference, word), word
+        assert word not in index._resolved
+    assert len(index._resolved) == surfaces
 
 
 def test_a_line_given_twice_gives_each_analysis_once(ruleset):

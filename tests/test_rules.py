@@ -292,12 +292,14 @@ def test_irregular_entry_needs_special_rule(ruleset):
         conjugate(rach, ruleset)
 
 
-def test_irregular_noun_declines_with_per_cell_errors(ruleset):
-    # decline never aborts; every cell reports the unsupported irregular
+def test_irregular_noun_no_rule_covers_is_an_error(ruleset):
+    # as conjugate does for a verb: one error for the entry, not one per cell
     entry = parse_svf_line('NOUN M "duine" "daoine" "duine" IRREG')
-    paradigm = decline(entry, ruleset)
-    assert paradigm.cells == {}
-    assert set(paradigm.errors) == set(rules.NOUN_FORMS)
+    message = "duine is irregular and no special-case rule covers it"
+    with pytest.raises(IrregularUnsupportedError, match=f"^{message}$"):
+        decline(entry, ruleset)
+    with pytest.raises(IrregularUnsupportedError, match=f"^{message}$"):
+        inflect(entry, "NP", ruleset)
 
 
 def test_irregular_entry_with_lemma_rule():
