@@ -15,7 +15,7 @@ from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from . import orthography
-from .orthography import EXACT, InputError, fold_key
+from .orthography import EXACT, InputError, fold_function
 from .svf import PART_FIELDS, Entry
 
 
@@ -134,12 +134,13 @@ def coverage(freq: FrequencyList, lexicon_keys: set[str], fold: str = EXACT) -> 
     all-forms index's key set to count inflected matches as well.  The
     report keeps the ten most frequent lexemes left unmatched.
     """
-    folded_keys = {fold_key(key, fold) for key in lexicon_keys}
+    fold_word = fold_function(fold)
+    folded_keys = {fold_word(key) for key in lexicon_keys}
     matched_types = 0
     matched_tokens = 0
     unmatched: list[tuple[str, int]] = []
     for _, lexeme, count in freq.rows:
-        if fold_key(lexeme, fold) in folded_keys:
+        if fold_word(lexeme) in folded_keys:
             matched_types += 1
             matched_tokens += count
         else:
@@ -177,10 +178,6 @@ class EndingHistogram(NamedTuple):
     """Counts of final letter sequences over a filtered set of parts."""
 
     buckets: dict[str, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.buckets.values())
 
 
 def ending_histogram(

@@ -10,12 +10,11 @@ an index over the word's candidate entries is enough.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 from functools import cached_property
 
 from . import orthography, rules, svf
-from .orthography import EXACT, fold_key
+from .orthography import EXACT
 from .rules import RuleSet
 from .svf import Entry
 
@@ -26,8 +25,7 @@ class Vocabulary:
     """An ordered collection of entries indexed by folded lemma."""
 
     def __init__(self, entries, fold_policy: str = EXACT):
-        if fold_policy not in FOLD_POLICIES:
-            raise ValueError(f"unknown fold policy: {fold_policy!r}")
+        self._fold = orthography.fold_function(fold_policy)
         self.entries: list[Entry] = list(entries)
         self.fold_policy = fold_policy
 
@@ -36,8 +34,7 @@ class Vocabulary:
         """Folded lemma -> entries, built on the first lookup."""
         index: dict[str, list[Entry]] = {}
         for entry in self.entries:
-            key = fold_key(entry.lemma, self.fold_policy)
-            index.setdefault(key, []).append(entry)
+            index.setdefault(self._fold(entry.lemma), []).append(entry)
         return index
 
     @classmethod
@@ -54,7 +51,7 @@ class Vocabulary:
 
     def lookup(self, word: str) -> list[Entry]:
         """All entries whose lemma equals the word under the policy."""
-        key = fold_key(orthography.canonical(word), self.fold_policy)
+        key = self._fold(orthography.canonical(word))
         return list(self._index.get(key, []))
 
     @property
@@ -73,8 +70,7 @@ class AllFormsIndex:
     brought up to date with a later change to form_index."""
 
     def __init__(self, fold_policy: str = EXACT):
-        if fold_policy not in FOLD_POLICIES:
-            raise ValueError(f"unknown fold policy: {fold_policy!r}")
+        self._fold = orthography.fold_function(fold_policy)
         self.fold_policy = fold_policy
         self.form_index: dict[str, tuple[tuple[Entry, str], ...]] = {}
         self.failures: list[tuple[str, str, str]] = []
@@ -89,20 +85,10 @@ class AllFormsIndex:
         one spelling shares that spelling's analyses."""
         folded: dict[str, Sequence[tuple[Entry, str]]] = {}
         for surface, analyses in self.form_index.items():
-            key = fold_key(surface, self.fold_policy)
+            key = self._fold(surface)
             known = folded.get(key)
             folded[key] = analyses if known is None else _merge(known, analyses)
         return folded
-
-    @property
-    def forms_per_pos(self) -> dict[str, int]:
-        """Distinct surface forms per part of speech; a spelling shared
-        by two parts of speech counts under both."""
-        return Counter(
-            pos
-            for analyses in self.form_index.values()
-            for pos in {entry.pos for entry, _ in analyses}
-        )
 
     @property
     def distinct_form_count(self) -> int:
@@ -163,9 +149,10 @@ def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> Vocabular
     policy = vocabulary.fold_policy
     if ruleset.inverses is None:
         return Vocabulary(vocabulary.entries, fold_policy=policy)
+    fold = vocabulary._fold
     query = orthography.canonical(word)
     stems: set[str] = set()
-    todo = [fold_key(query, policy), fold_key(orthography.strip_prothesis(query), policy)]
+    todo = [fold(query), fold(orthography.strip_prothesis(query))]
     while todo:
         stem = todo.pop()
         if stem not in stems:
@@ -179,7 +166,7 @@ def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> Vocabular
             value = getattr(entry, name)
             if value is not None and value.is_present:
                 texts.append(value.text)
-        if any(fold_key(text, policy) in prefixes for text in texts):
+        if any(fold(text) in prefixes for text in texts):
             found.append(entry)
     return Vocabulary(found, fold_policy=policy)
 
@@ -215,7 +202,7 @@ def _resolve(index: AllFormsIndex, word: str) -> Sequence[tuple[Entry, str]]:
     query = orthography.canonical(word)
     # the word as written has just missed
     hits = index.form_index.get(query) if query != word else None
-    fold = None if index.fold_policy == EXACT else orthography.FOLDS[index.fold_policy]
+    fold = None if index.fold_policy == EXACT else index._fold
     if hits is None and fold is not None:
         hits = index._folded.get(fold(query))
     if not hits:

@@ -194,12 +194,18 @@ FOLDS = {
 }
 
 
-def fold_key(word: str, policy: str = EXACT) -> str:
-    """Fold a word to its lookup key under the given policy."""
+def fold_function(policy: str):
+    """The function that folds a word to its lookup key under the given
+    policy: FOLDS[policy], or a ValueError for a policy not in FOLDS."""
     fold = FOLDS.get(policy)
     if fold is None:
         raise ValueError(f"unknown fold policy: {policy!r}")
-    return fold(word)
+    return fold
+
+
+def fold_key(word: str, policy: str = EXACT) -> str:
+    """Fold a word to its lookup key under the given policy."""
+    return fold_function(policy)(word)
 
 
 def last_vowel_class(word: str) -> str:

@@ -347,11 +347,14 @@ def _parse_expression(text: str, target: str, pos: str) -> Derivation:
 
 def parse_rules(text: str) -> RuleSet:
     """Parse a rule file's text.  A RuleSyntaxError raised for a line
-    carries its number as .line, so its str() begins "line N: "."""
+    carries its number as .line, so its str() begins "line N: ".  Lines
+    end at CRLF, CR or LF only, as orthography.read_text reads them: a
+    form feed or U+2028 in a comment ends no line."""
     rules: list[Rule] = []
     current: Rule | None = None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     try:
-        for number, raw in enumerate(text.splitlines(), start=1):
+        for number, raw in enumerate(lines, start=1):
             line = _strip_comment(raw).strip()
             if not line:
                 continue

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdmorph import lexicon, orthography, rules, svf
+from gdmorph import analysis, lexicon, orthography, rules, svf
 from gdmorph.lexicon import Vocabulary, build_all_forms, recognize
 from gdmorph.orthography import EXACT, FOLD_ACCENTS, FOLD_ACCENTS_CASE, fold_key
 from gdmorph.svf import parse_svf_line
@@ -63,12 +63,13 @@ def test_lookup_finds_every_indexed_lemma(entries):
 
 def test_vocabulary_folds_no_lemma_before_the_first_lookup(entries, monkeypatch):
     calls = []
+    fold = orthography.FOLDS[FOLD_ACCENTS]
 
-    def counting_fold_key(text, policy):
+    def counting_fold(text):
         calls.append(text)
-        return fold_key(text, policy)
+        return fold(text)
 
-    monkeypatch.setattr(lexicon, "fold_key", counting_fold_key)
+    monkeypatch.setitem(orthography.FOLDS, FOLD_ACCENTS, counting_fold)
     vocab = Vocabulary(entries, fold_policy=FOLD_ACCENTS)
     assert calls == []
     assert [e.lemma for e in vocab.lookup("mor")] == ["mòr", "mór"]
@@ -84,11 +85,21 @@ def test_homographs_all_returned():
     assert vocab.lookup("bàrr") == pair
 
 
+def _forms_per_pos(index) -> dict[str, int]:
+    """Distinct surface forms per part of speech; a spelling shared by
+    two parts of speech counts under both."""
+    counts: dict[str, int] = {}
+    for analyses in index.form_index.values():
+        for pos in {entry.pos for entry, _ in analyses}:
+            counts[pos] = counts.get(pos, 0) + 1
+    return counts
+
+
 def test_build_all_forms_counts(entries, ruleset):
     vocab = Vocabulary(entries[:1])
     index = build_all_forms(vocab, ruleset)
     assert index.distinct_form_count == 6
-    assert index.forms_per_pos == {"NOUN": 6}
+    assert _forms_per_pos(index) == {"NOUN": 6}
     assert index.failures == []
 
 
@@ -104,8 +115,8 @@ def test_forms_per_pos_counts_shared_spellings_under_each_pos(ruleset):
     for entry in entries:
         unions.setdefault(entry.pos, set()).update(set(rules.derive_forms(entry, ruleset)[0]))
     assert "mòr" in unions["NOUN"] and "mòr" in unions["ADJ"]
-    assert index.forms_per_pos == {pos: len(forms) for pos, forms in unions.items()}
-    assert sum(index.forms_per_pos.values()) > index.distinct_form_count
+    assert _forms_per_pos(index) == {pos: len(forms) for pos, forms in unions.items()}
+    assert sum(_forms_per_pos(index).values()) > index.distinct_form_count
 
 
 def test_build_all_forms_empty_vocabulary(ruleset):
@@ -146,7 +157,7 @@ def test_build_all_forms_deterministic(entries, ruleset):
     second = build_all_forms(vocab, ruleset)
     assert first.form_index == second.form_index
     assert list(first.form_index) == list(second.form_index)
-    assert first.forms_per_pos == second.forms_per_pos
+    assert _forms_per_pos(first) == _forms_per_pos(second)
 
 
 def test_recognize_many_valued(entries, ruleset):
@@ -184,7 +195,14 @@ def test_recognize_miss_is_empty(entries, ruleset):
     assert recognize(index, "zzz") == []
 
 
-@pytest.mark.parametrize("make", [lambda policy: Vocabulary([], policy), lexicon.AllFormsIndex])
+@pytest.mark.parametrize("make", [
+    lambda policy: Vocabulary([], policy),
+    lexicon.AllFormsIndex,
+    pytest.param(
+        lambda policy: analysis.coverage(analysis.FrequencyList([]), set(), policy),
+        id="coverage",
+    ),
+])
 def test_unknown_fold_policy_is_refused_when_made(make):
     # a bad policy found only at the first folded lookup would be a KeyError
     with pytest.raises(ValueError, match="unknown fold policy: 'bogus'"):

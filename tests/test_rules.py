@@ -160,6 +160,19 @@ def test_error_messages_carry_line_numbers():
         parse_rules("* NOUN & M\nNS: NS\nNP NP\n")
 
 
+# every character that str.splitlines breaks at besides CR and LF
+@pytest.mark.parametrize(
+    "end", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+)
+def test_only_cr_and_lf_end_a_rule_line(end):
+    plain = parse_rules("# page break\n* NOUN\nNS: NS; NP: NP\n")
+    marked = parse_rules(f"# page{end}break\n* NOUN\nNS: NS; NP: NP\n")
+    assert marked.rules == plain.rules
+    with pytest.raises(RuleSyntaxError) as raised:
+        parse_rules(f"# page{end}break\n* NOUN\nNS: NS\nNP NP\n")
+    assert raised.value.line == 4
+
+
 # ---------------------------------------------------------------------------
 # golden paradigms
 # ---------------------------------------------------------------------------
