@@ -10,7 +10,6 @@ an index over the word's candidate entries is enough.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import cached_property
 
 from . import orthography, rules, svf
@@ -72,18 +71,18 @@ class AllFormsIndex:
     def __init__(self, fold_policy: str = EXACT):
         self._fold = orthography.fold_function(fold_policy)
         self.fold_policy = fold_policy
-        self.form_index: dict[str, tuple[tuple[Entry, str], ...]] = {}
+        self.form_index: dict[str, rules.Analyses] = {}
         self.failures: list[tuple[str, str, str]] = []
         # a word as written that is not a surface -> what recognize found
         # for it, () for a miss; never more entries than form_index has
-        self._resolved: dict[str, Sequence[tuple[Entry, str]]] = {}
+        self._resolved: dict[str, rules.Analyses] = {}
 
     @cached_property
-    def _folded(self) -> dict[str, Sequence[tuple[Entry, str]]]:
+    def _folded(self) -> dict[str, rules.Analyses]:
         """Folded key -> the analyses of all its spellings, merged in
         recognize order, built on the first folded lookup.  A key with
         one spelling shares that spelling's analyses."""
-        folded: dict[str, Sequence[tuple[Entry, str]]] = {}
+        folded: dict[str, rules.Analyses] = {}
         for surface, analyses in self.form_index.items():
             key = self._fold(surface)
             known = folded.get(key)
@@ -171,7 +170,7 @@ def candidates(vocabulary: Vocabulary, ruleset: RuleSet, word: str) -> Vocabular
     return Vocabulary(found, fold_policy=policy)
 
 
-def recognize(index: AllFormsIndex, word: str) -> list[tuple[Entry, str]]:
+def recognize(index: AllFormsIndex, word: str) -> rules.Analyses:
     """All (entry, form code) analyses of a word found in text.
 
     Tries the word as written, then its canonical spelling, then that
@@ -183,7 +182,9 @@ def recognize(index: AllFormsIndex, word: str) -> list[tuple[Entry, str]]:
     hand must hold canonical text too.  A word that misses as written
     is resolved once per index, and later calls read what was found, so
     the index must not change once built.  The result is naturally
-    many-valued: one spelling can realize several forms.
+    many-valued: one spelling can realize several forms.  It is the
+    tuple the index stores, immutable and shared by every call that
+    finds it, () when there is no analysis.
     """
     hits = index.form_index.get(word)
     if hits is None:
@@ -193,10 +194,10 @@ def recognize(index: AllFormsIndex, word: str) -> list[tuple[Entry, str]]:
             hits = _resolve(index, word)
             if len(resolved) < len(index.form_index):
                 resolved[word] = hits
-    return [*hits]  # a copy the caller may change
+    return hits
 
 
-def _resolve(index: AllFormsIndex, word: str) -> Sequence[tuple[Entry, str]]:
+def _resolve(index: AllFormsIndex, word: str) -> rules.Analyses:
     """The analyses recognize gives a word that is not a surface as
     written, () when there are none."""
     query = orthography.canonical(word)
@@ -231,6 +232,6 @@ def _analysis_order(analysis: tuple[Entry, str]) -> tuple:
     return (entry.lemma, entry.pos, rank, code, entry)
 
 
-def _merge(known, analyses) -> tuple[tuple[Entry, str], ...]:
+def _merge(known, analyses) -> rules.Analyses:
     """Both collections of analyses as one tuple in recognize order."""
     return tuple(sorted(dict.fromkeys((*known, *analyses)), key=_analysis_order))

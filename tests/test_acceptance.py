@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from gdmorph import analysis, export, lexicon, orthography, rules, svf
+from test_export import _parse_inserts_back
 from test_svf import random_entry
 
 DATA = Path(__file__).parent / "data"
@@ -311,5 +312,4 @@ def test_criterion_8_sql_export():
         assert count == len(entries)
 
         # text-level round trip restores every entry, markers included
-        from test_export import _parse_inserts_back
         assert _parse_inserts_back(script) == entries

@@ -181,18 +181,18 @@ def test_recognize_strips_prothesis(entries, ruleset):
     assert [(e.lemma, c) for e, c in recognize(index, "t-saoghail")] == [
         ("saoghal", "GS"),
     ]
-    assert recognize(index, "dh'òl") != []  # already an indexed form
+    assert recognize(index, "dh'òl")  # already an indexed form
 
 
 def test_recognize_folds_accents(entries, ruleset):
     index = build_all_forms(Vocabulary(entries, fold_policy=FOLD_ACCENTS), ruleset)
-    assert recognize(index, "olaidh") != []
-    assert recognize(index, "saoghalan") != []
+    assert recognize(index, "olaidh")
+    assert recognize(index, "saoghalan")
 
 
 def test_recognize_miss_is_empty(entries, ruleset):
     index = build_all_forms(Vocabulary(entries), ruleset)
-    assert recognize(index, "zzz") == []
+    assert recognize(index, "zzz") == ()
 
 
 @pytest.mark.parametrize("make", [
@@ -235,13 +235,13 @@ def test_folded_lookup_after_exact_lookups(entries, ruleset, policy):
         ("saoghal", "NP"), ("saoghal", "DP"),
     ]
     upper = recognize(index, "SAOGHALAN")
-    assert (upper != []) == (policy == FOLD_ACCENTS_CASE)
+    assert bool(upper) == (policy == FOLD_ACCENTS_CASE)
 
 
 def test_exact_index_miss_builds_no_folded_map(entries, ruleset):
     index = build_all_forms(Vocabulary(entries, fold_policy=EXACT), ruleset)
-    assert recognize(index, "saoghàlan") == []
-    assert recognize(index, "t-zzz") == []
+    assert recognize(index, "saoghàlan") == ()
+    assert recognize(index, "t-zzz") == ()
     assert "_folded" not in vars(index)
 
 
@@ -301,7 +301,8 @@ def test_recognize_order_ignores_hash_seed():
 
 
 # The set-based index and sort-per-call recognize that build_all_forms
-# and recognize replaced, kept verbatim as the reference for their order.
+# and recognize replaced, kept verbatim as the reference for their order,
+# except that the reference recognize returns a tuple, as recognize does.
 class _SetIndex:
     def __init__(self, fold_policy: str = EXACT):
         self.fold_policy = fold_policy
@@ -375,8 +376,8 @@ def _reference_recognize(index, word):
         if stripped != query:
             hits = _reference_exact_or_folded(index, stripped)
     if len(hits) < 2:
-        return list(hits)
-    return sorted(hits, key=_reference_analysis_order)
+        return tuple(hits)
+    return tuple(sorted(hits, key=_reference_analysis_order))
 
 
 # (part of speech, form code) -> position in the paradigm
@@ -451,13 +452,13 @@ def test_recognize_matches_the_set_based_reference(ruleset, lines, policy, other
             assert recognize(index, word) == analyses, word
 
 
-def test_appending_to_a_result_leaves_the_index_alone(entries, ruleset):
+def test_a_result_is_the_tuple_the_index_stores(entries, ruleset):
     index = build_all_forms(Vocabulary(entries), ruleset)
     for word in ("saoghal", "t-saoghal"):
-        recognize(index, word)  # resolves t-saoghal, so the next call reads that
-        first = recognize(index, word)
-        first.append(first[0])
-        assert recognize(index, word) == first[:-1], word
+        first = recognize(index, word)  # a surface, then a word it resolves
+        assert type(first) is tuple and first, word
+        # no copy: a caller cannot change what the next call returns
+        assert recognize(index, word) is first, word
 
 
 @pytest.mark.parametrize("policy", lexicon.FOLD_POLICIES)
@@ -467,7 +468,7 @@ def test_resolved_words_never_outnumber_the_surfaces(entries, ruleset, policy):
     reference = _reference_build(vocabulary, ruleset)
     surfaces = len(index.form_index)
     for n in range(2 * surfaces):
-        assert recognize(index, f"zz{n}") == []
+        assert recognize(index, f"zz{n}") == ()
         assert len(index._resolved) <= surfaces
     assert len(index._resolved) == surfaces
     assert set(index._resolved.values()) == {()}

@@ -157,7 +157,7 @@ def test_a_noun_lenited_by_no_rule_is_still_found():
     vocabulary = Vocabulary([OL, CAT])
     found = lexicon.candidates(vocabulary, ruleset, "chat")
     assert found.entries == [CAT]
-    assert recognize(build_all_forms(found, ruleset), "chat") == [(CAT, "NS")]
+    assert recognize(build_all_forms(found, ruleset), "chat") == ((CAT, "NS"),)
 
 
 def test_a_capital_h_in_second_place_is_undone():
@@ -173,7 +173,7 @@ def test_dh_is_undone_below_a_prothetic_prefix():
     found = lexicon.candidates(vocabulary, ruleset, "t-dh'òl")
     assert found.entries == [OL]
     whole = build_all_forms(vocabulary, ruleset)
-    assert recognize(build_all_forms(found, ruleset), "t-dh'òl") == recognize(whole, "t-dh'òl") != []
+    assert recognize(build_all_forms(found, ruleset), "t-dh'òl") == recognize(whole, "t-dh'òl") != ()
 
 
 @pytest.mark.parametrize("text, none", [
