@@ -37,9 +37,9 @@ from .orthography import (
     glottal_past_prefix,
     last_vowel_class,
     lenite,
-    normalize_accents,
     satisfies_vowel_harmony,
     slenderize,
+    strip_accents,
     strip_prothesis,
 )
 from .rules import (

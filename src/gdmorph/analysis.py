@@ -243,7 +243,7 @@ def find_near_duplicates(
     by_stripped: dict[str, list[int]] = {}
     for position, entry in enumerate(ordered):
         by_casefold.setdefault(entry.lemma.casefold(), []).append(position)
-        stripped = orthography.normalize_accents(entry.lemma, orthography.STRIP_ALL)
+        stripped = orthography.strip_accents(entry.lemma)
         by_stripped.setdefault(stripped, []).append(position)
 
     case_pairs = []

@@ -22,8 +22,6 @@ from .orthography import InputError, MorphologyError
 
 ENV_RULES = "GDMORPH_RULES"
 
-_ACCENT_MODES = tuple(orthography.ACCENT_MODES)
-
 
 def _read_vocab(args):
     """The vocabulary and its bad lines, as (line number, error) pairs."""
@@ -47,10 +45,6 @@ def _load_rules(args) -> rules.RuleSet:
     if args.rules == "":
         raise InputError("--rules names no file")
     return rules.load_rules(args.rules or os.environ.get(ENV_RULES) or rules.BUNDLED_RULES)
-
-
-def _query_word(args, word: str) -> str:
-    return orthography.normalize_accents(orthography.canonical(word), args.accent_mode)
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -97,8 +91,8 @@ def cmd_validate(args) -> int:
     return 0 if not errors else 2
 
 
-def _entries_for(args, vocab: lexicon.Vocabulary, lemma: str):
-    found = vocab.lookup(_query_word(args, lemma))
+def _entries_for(vocab: lexicon.Vocabulary, lemma: str):
+    found = vocab.lookup(lemma)
     if not found:
         raise MorphologyError(f"not found: {lemma}")
     return found
@@ -108,7 +102,7 @@ def cmd_inflect(args) -> int:
     vocab = _load_vocab(args)
     ruleset = _load_rules(args)
     form = args.form.upper()
-    entries = _entries_for(args, vocab, args.lemma)
+    entries = _entries_for(vocab, args.lemma)
     printed = False
     for entry in entries:
         if form not in rules.FORMS_BY_POS.get(entry.pos, ()):
@@ -124,7 +118,7 @@ def cmd_inflect(args) -> int:
 def _paradigms(args, pos: str, paradigm_of, layout: str) -> int:
     vocab = _load_vocab(args)
     ruleset = _load_rules(args)
-    entries = [e for e in _entries_for(args, vocab, args.lemma) if e.pos == pos]
+    entries = [e for e in _entries_for(vocab, args.lemma) if e.pos == pos]
     if not entries:
         raise MorphologyError(f"no {pos.lower()} entry for {args.lemma}")
     style = export.DELIMITED if args.format == "tsv" else export.ASCII
@@ -150,10 +144,9 @@ def cmd_expand(args) -> int:
 def cmd_recognize(args) -> int:
     vocab = _load_vocab(args)
     ruleset = _load_rules(args)
-    word = _query_word(args, args.word)
     # the word's candidate entries give it the analyses the whole vocabulary would
-    index = lexicon.build_all_forms(lexicon.candidates(vocab, ruleset, word), ruleset)
-    analyses = lexicon.recognize(index, word)
+    index = lexicon.build_all_forms(lexicon.candidates(vocab, ruleset, args.word), ruleset)
+    analyses = lexicon.recognize(index, args.word)
     if not analyses:
         raise MorphologyError(f"unrecognized: {args.word}")
     for entry, code in analyses:
@@ -267,12 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lemma matching policy",
     )
     parser.add_argument("--format", choices=["table", "tsv"], default="table")
-    parser.add_argument(
-        "--accent-mode",
-        choices=list(_ACCENT_MODES),
-        default="none",
-        help="accent normalization applied to query words",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser("validate", help="check a vocabulary file")

@@ -21,11 +21,6 @@ from typing import NamedTuple
 BROAD = "broad"
 SLENDER = "slender"
 
-# accent folding policies
-FOLD_ACUTE_TO_GRAVE = "fold"
-STRIP_ALL = "strip"
-NO_FOLD = "none"
-
 # lemma-key folding policies for lookup and matching
 EXACT = "exact"
 FOLD_ACCENTS = "accents"
@@ -39,13 +34,16 @@ VOWELS = _PLAIN_VOWELS + _GRAVE_VOWELS + _ACUTE_VOWELS
 BROAD_VOWELS = "aouàòùáóú"
 SLENDER_VOWELS = "eièìéí"
 
+# each vowel, one character in either case -> its class
+_VOWEL_CLASSES = {
+    vowel: cls
+    for vowels, cls in ((BROAD_VOWELS, BROAD), (SLENDER_VOWELS, SLENDER))
+    for vowel in vowels + vowels.upper()
+}
+
 # consonants that admit lenition (l, n, r and vowels never take a written h)
 _LENITABLE = set("bcdfgmpst")
 
-_ACUTE_TO_GRAVE = str.maketrans(
-    _ACUTE_VOWELS + _ACUTE_VOWELS.upper(),
-    _GRAVE_VOWELS + _GRAVE_VOWELS.upper(),
-)
 _STRIP_ACCENTS = str.maketrans(
     _GRAVE_VOWELS + _ACUTE_VOWELS + _GRAVE_VOWELS.upper() + _ACUTE_VOWELS.upper(),
     _PLAIN_VOWELS * 2 + _PLAIN_VOWELS.upper() * 2,
@@ -145,31 +143,22 @@ def is_gaelic_word(text: str) -> bool:
 
 
 def is_vowel(ch: str) -> bool:
-    return ch.lower() in VOWELS
+    """True if ch is one character, a vowel of either case."""
+    return ch in _VOWEL_CLASSES
 
 
 def vowel_class(ch: str) -> str:
-    lower = ch.lower()
-    if lower in BROAD_VOWELS:
-        return BROAD
-    if lower in SLENDER_VOWELS:
-        return SLENDER
-    raise NoVowelError(f"not a vowel: {ch!r}")
+    """BROAD or SLENDER for a one-character vowel; NoVowelError for any
+    other text, the empty string and longer text included."""
+    cls = _VOWEL_CLASSES.get(ch)
+    if cls is None:
+        raise NoVowelError(f"not a vowel: {ch!r}")
+    return cls
 
 
-def normalize_accents(word: str, mode: str = FOLD_ACUTE_TO_GRAVE) -> str:
-    """Fold acute accents to grave, strip all accents, or leave unchanged.
-
-    Length, case and all non-vowel characters are preserved.
-    """
-    normalize = ACCENT_MODES.get(mode)
-    if normalize is None:
-        raise ValueError(f"unknown accent mode: {mode!r}")
-    return normalize(word)
-
-
-def _strip_accents(text: str) -> str:
-    """Text with every accented vowel made plain."""
+def strip_accents(text: str) -> str:
+    """Text with every accented vowel, grave or acute, made plain.
+    Length, case and all other characters are kept."""
     if text.isascii():  # _STRIP_ACCENTS maps only non-ASCII vowels
         return text
     try:
@@ -179,18 +168,11 @@ def _strip_accents(text: str) -> str:
     return data.translate(_STRIP_ACCENTS_LATIN1).decode("latin-1")
 
 
-# accent mode -> the function that normalize_accents applies
-ACCENT_MODES = {
-    FOLD_ACUTE_TO_GRAVE: lambda word: word.translate(_ACUTE_TO_GRAVE),
-    STRIP_ALL: _strip_accents,
-    NO_FOLD: lambda word: word,
-}
-
 # fold policy -> the function that folds a word to its key
 FOLDS = {
     EXACT: lambda word: word,
-    FOLD_ACCENTS: _strip_accents,
-    FOLD_ACCENTS_CASE: lambda word: _strip_accents(word).casefold(),
+    FOLD_ACCENTS: strip_accents,
+    FOLD_ACCENTS_CASE: lambda word: strip_accents(word).casefold(),
 }
 
 
@@ -211,8 +193,9 @@ def fold_key(word: str, policy: str = EXACT) -> str:
 def last_vowel_class(word: str) -> str:
     """Class (broad/slender) of the rightmost vowel in the word."""
     for ch in reversed(word):
-        if is_vowel(ch):
-            return vowel_class(ch)
+        cls = _VOWEL_CLASSES.get(ch)
+        if cls is not None:
+            return cls
     raise NoVowelError(f"no vowel in {word!r}")
 
 
@@ -279,10 +262,10 @@ def slenderize(word: str) -> str:
     """
     start, end = _final_vowel_group(word)
     group = word[start:end]
-    last_plain = normalize_accents(group[-1], STRIP_ALL).lower()
+    last_plain = strip_accents(group[-1]).lower()
     if last_plain == "i":
         return word
-    if normalize_accents(group, STRIP_ALL).lower() == "ea":
+    if strip_accents(group).lower() == "ea":
         return word[:start] + "i" + word[end:]
     if all(ch.lower() in BROAD_VOWELS for ch in group):
         return word[:end] + "i" + word[end:]

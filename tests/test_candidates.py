@@ -90,7 +90,7 @@ def queries(index, others) -> list[str]:
     out = []
     for surface in sorted(index.forms()):
         out += [surface, surface[:1].upper() + surface[1:], surface.upper(),
-                orthography.normalize_accents(surface, orthography.STRIP_ALL)]
+                orthography.strip_accents(surface)]
         out += [prefix + surface for prefix in ("t-", "h-", "n-", "dh'", "T-")]
     return out + others
 

@@ -343,29 +343,18 @@ def test_fold_option_controls_lookup(capsys, tmp_path):
     assert code == 1
 
 
-def test_accent_mode_applies_to_query(capsys, tmp_path):
-    path = tmp_path / "v.svf"
-    path.write_text('ADJ "mòr" "motha"\n', encoding="utf-8")
-    code, out, _ = run(
-        capsys, "--vocab", str(path), "--fold", "exact",
-        "--accent-mode", "fold", "inflect", "mór", "CP",
-    )
-    assert code == 0 and out.strip() == "motha"
-
-
-def test_fold_and_accent_mode_are_separate_knobs(capsys, tmp_path):
-    # --accent-mode rewrites the query (mór -> mòr) before lookup; --fold
-    # sets the key both lemma and query are looked up under
+def test_fold_decides_whether_an_acute_spelling_is_found(capsys, tmp_path):
+    # --fold sets the key both lemma and query are looked up under: a
+    # pre-reform acute spelling meets every entry that differs from it
+    # only by accents, or under exact none at all
     path = tmp_path / "v.svf"
     path.write_text('ADJ "mòr" "motha"\nADJ "mor" "morsa"\n', encoding="utf-8")
 
     def inflect(*options):
         return run(capsys, "--vocab", str(path), *options, "inflect", "mór", "CP")
 
-    code, out, _ = inflect("--fold", "exact", "--accent-mode", "fold")
-    assert code == 0 and out.split() == ["motha"]
-    for fold in ("accents", "accents-case"):
-        code, out, _ = inflect("--fold", fold)
+    for options in [(), ("--fold", "accents"), ("--fold", "accents-case")]:
+        code, out, _ = inflect(*options)
         assert code == 0 and out.split() == ["motha", "morsa"]
     code, _, err = inflect("--fold", "exact")
     assert code == 1 and "not found: mór" in err
@@ -598,7 +587,6 @@ OPTION_SURFACE = {
             ("--rules",): (None, None),
             ("--fold",): (["exact", "accents", "accents-case"], "accents"),
             ("--format",): (["table", "tsv"], "table"),
-            ("--accent-mode",): (["fold", "strip", "none"], "none"),
         },
         [("command", ["validate", "inflect", "decline", "conjugate", "expand",
                       "recognize", "coverage", "stats", "export"])],

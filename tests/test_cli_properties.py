@@ -70,10 +70,9 @@ commands = st.one_of(
     st.builds(lambda kind: ["export", kind], st.sampled_from(["ddl", "inserts"])),
 )
 options = st.builds(
-    lambda fold, fmt, accent: ["--fold", fold, "--format", fmt, "--accent-mode", accent],
+    lambda fold, fmt: ["--fold", fold, "--format", fmt],
     st.sampled_from(["exact", "accents", "accents-case"]),
     st.sampled_from(["table", "tsv"]),
-    st.sampled_from(["fold", "strip", "none"]),
 )
 
 

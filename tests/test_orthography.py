@@ -16,9 +16,9 @@ from gdmorph.orthography import (
     glottal_past_prefix,
     last_vowel_class,
     lenite,
-    normalize_accents,
     satisfies_vowel_harmony,
     slenderize,
+    strip_accents,
     strip_prothesis,
 )
 
@@ -123,6 +123,24 @@ def test_last_vowel_class():
         last_vowel_class("b")
 
 
+def test_a_vowel_is_one_character():
+    for text in ["", "ou", "ai", "Ea", "àa"]:
+        assert not orth.is_vowel(text)
+        with pytest.raises(orth.NoVowelError):
+            orth.vowel_class(text)
+    # every BMP character, against the definition by lower case
+    for code in range(0x10000):
+        ch = chr(code)
+        vowel = len(ch) == 1 and ch.lower() in orth.VOWELS
+        assert orth.is_vowel(ch) == vowel, ch
+        if vowel:
+            expected = BROAD if ch.lower() in orth.BROAD_VOWELS else SLENDER
+            assert orth.vowel_class(ch) == expected, ch
+        else:
+            with pytest.raises(orth.NoVowelError):
+                orth.vowel_class(ch)
+
+
 ATTACH_GOLD = [
     ("saoghal", ("an", "ean"), "saoghalan"),
     ("òl", ("aidh", "idh"), "òlaidh"),
@@ -144,12 +162,6 @@ def test_suffix_alternation_needs_both_alternants(pair):
         SuffixAlternation(*pair)
 
 
-def test_normalize_accents_fold():
-    assert normalize_accents("mór") == "mòr"
-    assert normalize_accents("cat") == "cat"
-    assert normalize_accents("Ólc") == "Òlc"
-
-
 def test_normalize_accents_strip_matches_decomposition_oracle():
     # independent oracle: NFD-decompose and drop combining marks
     for word in ["céilidh", "mòr", "Gàidhlig", "ÒL", "taigh"]:
@@ -157,18 +169,8 @@ def test_normalize_accents_strip_matches_decomposition_oracle():
             ch for ch in unicodedata.normalize("NFD", word)
             if not unicodedata.combining(ch)
         )
-        assert normalize_accents(word, orth.STRIP_ALL) == oracle
-    assert normalize_accents("céilidh", orth.STRIP_ALL) == "ceilidh"
-
-
-def test_normalize_accents_none_is_identity():
-    assert normalize_accents("céilidh", orth.NO_FOLD) == "céilidh"
-
-
-def test_normalize_accents_refuses_an_unknown_mode():
-    assert set(orth.ACCENT_MODES) == {orth.FOLD_ACUTE_TO_GRAVE, orth.STRIP_ALL, orth.NO_FOLD}
-    with pytest.raises(ValueError, match="unknown accent mode: 'grave'"):
-        normalize_accents("mór", "grave")
+        assert strip_accents(word) == oracle
+    assert strip_accents("céilidh") == "ceilidh"
 
 
 def test_canonical_composes_and_fixes_apostrophes():
@@ -256,11 +258,12 @@ def test_satisfies_vowel_harmony_spots_violations():
 
 def test_fold_and_strip_preserve_length():
     for word in ["mór", "céilidh", "Gàidhlig", "cat"]:
-        assert len(normalize_accents(word)) == len(word)
-        assert len(normalize_accents(word, orth.STRIP_ALL)) == len(word)
-        # folding is idempotent
-        folded = normalize_accents(word)
-        assert normalize_accents(folded) == folded
+        assert len(strip_accents(word)) == len(word)
+        for policy in (orth.FOLD_ACCENTS, orth.FOLD_ACCENTS_CASE):
+            folded = orth.fold_key(word, policy)
+            assert len(folded) == len(word)
+            # folding is idempotent
+            assert orth.fold_key(folded, policy) == folded
 
 
 def test_slenderize_result_ends_slender():
@@ -273,7 +276,7 @@ def test_slenderize_result_ends_slender():
         except orth.NotSlenderizableError:
             continue
         start, end = orth._final_vowel_group(result)
-        group = normalize_accents(result[start:end], orth.STRIP_ALL)
+        group = strip_accents(result[start:end])
         assert group.endswith("i") or group == "i"
         produced += 1
     assert produced > 50
@@ -309,13 +312,25 @@ _LATIN1_AND_BEYOND = st.text(
 @given(_LATIN1_AND_BEYOND, st.sampled_from([orth.EXACT, orth.FOLD_ACCENTS, orth.FOLD_ACCENTS_CASE]))
 def test_accent_strip_matches_translate_on_and_off_latin1(text, policy):
     stripped = text.translate(orth._STRIP_ACCENTS)
-    assert normalize_accents(text, orth.STRIP_ALL) == stripped
+    assert strip_accents(text) == stripped
     reference = {
         orth.EXACT: text,
         orth.FOLD_ACCENTS: stripped,
         orth.FOLD_ACCENTS_CASE: stripped.casefold(),
     }[policy]
     assert orth.fold_key(text, policy) == reference
+
+
+_ACUTE_TO_GRAVE = str.maketrans("áéíóúÁÉÍÓÚ", "àèìòùÀÈÌÒÙ")
+
+
+@given(_LATIN1_AND_BEYOND, st.sampled_from([orth.FOLD_ACCENTS, orth.FOLD_ACCENTS_CASE]))
+def test_an_accent_fold_ignores_which_accent_a_vowel_bears(word, policy):
+    # so rewriting a query's acutes as graves, or stripping its accents,
+    # before an accent-folding lookup finds nothing the lookup does not
+    key = orth.fold_key(word, policy)
+    assert orth.fold_key(word.translate(_ACUTE_TO_GRAVE), policy) == key
+    assert orth.fold_key(strip_accents(word), policy) == key
 
 
 def test_an_unknown_fold_policy_is_a_value_error():

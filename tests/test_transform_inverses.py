@@ -111,7 +111,7 @@ def spellings(draw, pool):
     text = text[:1] + draw(st.sampled_from(SECOND)) + text[1:]
     text = "".join(draw(st.lists(st.sampled_from(PREFIXES), max_size=2))) + text
     if draw(st.booleans()):
-        text = orthography.normalize_accents(text, orthography.STRIP_ALL)
+        text = orthography.strip_accents(text)
     return text + draw(st.text(alphabet=LETTERS, max_size=3))
 
 
