@@ -24,7 +24,7 @@ ENV_RULES = "GDMORPH_RULES"
 
 
 def _read_vocab(args):
-    """The vocabulary and its bad lines, as (line number, error) pairs."""
+    """The vocabulary and the SvfError of each bad line."""
     if not args.vocab:
         raise InputError("this command needs --vocab")
     return lexicon.Vocabulary.from_svf_file(args.vocab, fold_policy=args.fold)
@@ -34,7 +34,7 @@ def _load_vocab(args) -> lexicon.Vocabulary:
     """The vocabulary, each bad line warned about on stderr, as a
     frequency list's are; the command goes on without it."""
     vocab, errors = _read_vocab(args)
-    for _, error in errors:
+    for error in errors:
         print(error, file=sys.stderr)
     return vocab
 
@@ -70,7 +70,7 @@ def _report(args, pairs: list[tuple[str, str]]) -> None:
 
 def cmd_validate(args) -> int:
     vocab, errors = _read_vocab(args)
-    for _, error in errors:
+    for error in errors:
         print(error)
     by_pos = Counter(entry.pos for entry in vocab)
     parts = {name: Counter(map(attrgetter(name), vocab)) for name in svf.PART_FIELDS}
@@ -239,7 +239,7 @@ def cmd_export(args) -> int:
         return 0
     vocab, errors = _read_vocab(args)
     if errors:
-        for _, error in errors:
+        for error in errors:
             print(error, file=sys.stderr)
         raise InputError("vocabulary has syntax errors; fix before exporting", args.vocab)
     _write_out(args.out, export.emit_inserts(vocab.entries))

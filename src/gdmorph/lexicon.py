@@ -38,7 +38,7 @@ class Vocabulary:
 
     @classmethod
     def from_svf_file(cls, path, fold_policy: str = EXACT):
-        """Load a vocabulary file; returns (vocabulary, line errors)."""
+        """Load a vocabulary file; returns (vocabulary, line SvfErrors)."""
         entries, errors = svf.load_vocabulary_file(path)
         return cls(entries, fold_policy=fold_policy), errors
 

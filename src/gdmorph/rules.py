@@ -405,41 +405,37 @@ def default_rules() -> RuleSet:
     return load_rules(BUNDLED_RULES)
 
 
-# a derivation failure: (exception type, message); the exception itself
-# is not kept, so no traceback outlives the step that raised it
-Failure = tuple[type, str]
-
-
-def _run(entry: Entry, selection: Selection) -> tuple[list, dict[str, Failure]]:
+def _run(entry: Entry, selection: Selection) -> tuple[list, dict[str, MorphologyError]]:
     """Every value of the entry's plan, each computed once, and the
     failure of each form code that cannot be derived, in paradigm order:
     the first failed value among its alternatives, or no rule defining
     it.  A source's value is the lemma or a part's text, None when the
-    part is marked non-existent; a failed value is a Failure."""
+    part is marked non-existent; a failed value is the MorphologyError
+    that says why, kept without its traceback, which would hold frames."""
     values = []
     failed = False
     for source, field in selection.sources:
         value = entry[field]
         if value is None:
-            value = MissingPrincipalPartError, f"{entry.lemma}: entry has no {source} part"
+            value = MissingPrincipalPartError(f"{entry.lemma}: entry has no {source} part")
             failed = True
         elif value.__class__ is not str:
             state, text = value
             if state == PRESENT:
                 value = text
             elif state == UNKNOWN.state:
-                value = MissingPrincipalPartError, f"{entry.lemma}: {source} is unknown"
+                value = MissingPrincipalPartError(f"{entry.lemma}: {source} is unknown")
                 failed = True
             else:
                 value = None
         values.append(value)
     for value, step, suffix in selection.steps:
         base = values[value]
-        if base is not None and base.__class__ is not tuple:
+        if base.__class__ is str:
             try:
                 base = step(base) if suffix is None else step(base, suffix)
             except MorphologyError as exc:
-                base = exc.__class__, str(exc)
+                base = exc.with_traceback(None)
                 failed = True
         values.append(base)
     failures = {}
@@ -450,16 +446,15 @@ def _run(entry: Entry, selection: Selection) -> tuple[list, dict[str, Failure]]:
         ends = selection.forms.get(form)
         if ends is None:
             if not entry.irregular:
-                failures[form] = NoRuleMatchesError, f"no rule defines {form} for {entry.lemma}"
+                failures[form] = NoRuleMatchesError(f"no rule defines {form} for {entry.lemma}")
             else:
                 rule = f"defines {form}" if selection.matched else "covers it"
-                failures[form] = (
-                    IrregularUnsupportedError,
-                    f"{entry.lemma} is irregular and no special-case rule {rule}",
+                failures[form] = IrregularUnsupportedError(
+                    f"{entry.lemma} is irregular and no special-case rule {rule}"
                 )
             continue
         for end in ends:
-            if values[end].__class__ is tuple:
+            if isinstance(values[end], MorphologyError):
                 failures[form] = values[end]
                 break
     return values, failures
@@ -472,17 +467,17 @@ class Paradigm(NamedTuple):
     errors: dict[str, str]
 
 
-def _paradigm(entry: Entry, ruleset: RuleSet) -> tuple[Paradigm, dict[str, Failure]]:
+def _paradigm(entry: Entry, ruleset: RuleSet) -> tuple[Paradigm, dict[str, MorphologyError]]:
     """The variants of each form code that can be derived, and the
     failure of each one that cannot.  An irregular entry that no rule
     matches raises, since none of its codes can be derived."""
     selection = ruleset.select(entry)
-    if entry.irregular and not selection.matched:
-        raise IrregularUnsupportedError(
-            f"{entry.lemma} is irregular and no special-case rule covers it"
-        )
     values, failures = _run(entry, selection)
-    paradigm = Paradigm(cells={}, errors={form: text for form, (_, text) in failures.items()})
+    if entry.irregular and not selection.matched:
+        # every code failed alike, as no special-case rule covers the
+        # entry; each failure is its own object, so none stays held here
+        raise failures.popitem()[1]
+    paradigm = Paradigm(cells={}, errors={form: str(error) for form, error in failures.items()})
     for form, ends in selection.forms.items():
         if form not in failures:
             variants = (values[end] for end in ends)
@@ -500,8 +495,10 @@ def inflect(entry: Entry, form: str, ruleset: RuleSet) -> list[str]:
         raise UnknownFormCodeError(f"{form} is not a {entry.pos} form")
     paradigm, failures = _paradigm(entry, ruleset)
     if form in failures:
-        error, message = failures[form]
-        raise error(message)
+        try:
+            raise failures[form]
+        finally:
+            del failures  # its traceback holds this frame: no cycle
     return paradigm.cells[form]
 
 
@@ -539,7 +536,7 @@ def derive_forms(
     selection = ruleset.select(entry)
     values, failures = _run(entry, selection)
     # most entries fail no code, and their empty failures serve as errors
-    errors = failures and {code: message for code, (_, message) in failures.items()}
+    errors = failures and {code: str(error) for code, error in failures.items()}
     forms: dict[str, Analyses] = {}
     for code, ends in selection.forms.items():
         if code in failures:

@@ -263,14 +263,13 @@ _RECORD = re.compile(
 )
 
 
-def load_vocabulary_file(path) -> tuple[list[Entry], list[tuple[int, SvfError]]]:
+def load_vocabulary_file(path) -> tuple[list[Entry], list[SvfError]]:
     """Parse a vocabulary file line by line.
 
     Blank lines, "#" comments and a leading byte-order mark are
-    skipped.  A bad line never aborts the load; it is returned as a
-    (line number, error) pair instead, the error carrying the path and
-    line too.  A file that cannot be read or is not UTF-8 raises
-    InputError.
+    skipped.  A bad line never aborts the load; its SvfError, carrying
+    the path and line, is returned instead, in file order.  A file that
+    cannot be read or is not UTF-8 raises InputError.
 
     A line that holds a record in the canonical layout, its words all
     in the alphabet, is read by one pattern match, and its parts and
@@ -301,7 +300,7 @@ def load_vocabulary_file(path) -> tuple[list[Entry], list[tuple[int, SvfError]]]
                     exc.path, exc.line = path, number
                     # without its traceback, which holds this frame and so
                     # makes a reference cycle through `errors`
-                    errors.append((number, exc.with_traceback(None)))
+                    errors.append(exc.with_traceback(None))
                 continue
         gender, pos, lemma, word, marker, second_word, second_marker, irregular = match.groups()
         value = markers[marker] if word is None else new(PartValue, (PRESENT, word))

@@ -296,6 +296,21 @@ def test_ending_histogram_two_verbs():
     assert histogram.buckets == {"adh": 1, "inn": 1}
 
 
+@pytest.mark.parametrize("count", [
+    lambda entries: ending_histogram(entries, "pl"),
+    lambda entries: count_suffix_pattern(entries, "pl", "an"),
+], ids=["ending_histogram", "count_suffix_pattern"])
+def test_an_unknown_part_selector_is_refused(count):
+    # the selector is checked per entry, so one entry is needed
+    with pytest.raises(ValueError, match="^unknown principal part selector: 'pl'$"):
+        count([parse_svf_line('ADJ "mòr" "motha"')])
+
+
+def test_ending_histogram_needs_a_suffix():
+    with pytest.raises(ValueError, match="^suffix_len must be at least 1$"):
+        ending_histogram([], "np", suffix_len=0)
+
+
 def test_count_suffix_pattern_fixture(stats_entries):
     nouns = [e for e in stats_entries if e.pos == svf.NOUN]
     assert count_suffix_pattern(nouns, "np", "an", min_extra=2) == 4

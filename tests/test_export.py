@@ -195,6 +195,23 @@ def test_insert_warns_on_overlong_values():
     assert "warning" in script and "Lemma" in script
 
 
+def test_insert_warning_names_each_overlong_part():
+    long = "b" + "a" * 35
+    entry = Entry(lemma="bàta", pos=NOUN, gender="M", np=part(long), gs=part(long))
+    script = emit_inserts([entry])
+    assert "\n-- warning: value longer than 35 characters in NP, GS\n" in script
+
+
+def test_emit_ddl_refuses_an_unknown_dialect():
+    with pytest.raises(ValueError, match="^unknown dialect: 'oracle'$"):
+        emit_ddl("oracle")
+
+
+def test_render_paradigm_refuses_an_unknown_layout():
+    with pytest.raises(ValueError, match="^unknown layout: 'table'$"):
+        render_paradigm("bàta", {}, "table")
+
+
 def _parse_inserts_back(script):
     """Text-level inverse of emit_inserts, comments included."""
     pattern = re.compile(r"VALUES \((.*)\);(?: -- non-existent: (.*))?$")

@@ -63,6 +63,7 @@ GLOTTAL_GOLD = {
     "tuit": "thuit",
     "cuir": "chuir",
     "leum": "leum",         # unlenitable initial, no prefix
+    "": "",                 # nothing to mutate
 }
 
 

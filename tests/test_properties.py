@@ -197,9 +197,9 @@ def _load(path, text: str):
         assert type(entry) is Entry
         parts = (getattr(entry, field) for field in svf.PART_FIELDS)
         assert all(value is None or type(value) is PartValue for value in parts)
-    for number, error in errors:
-        assert (error.line, error.path) == (number, path)
-    return entries, [(number, type(error), error.message) for number, error in errors]
+    for error in errors:
+        assert error.path == path
+    return entries, [(error.line, type(error), error.message) for error in errors]
 
 
 def reference_load(lines: list[str]):

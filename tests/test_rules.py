@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,6 +162,22 @@ def test_error_messages_carry_line_numbers():
         parse_rules("* NOUN & M\nNS: NS\nNP NP\n")
 
 
+@pytest.mark.parametrize(("text", "message"), [
+    ("* NOUN & VERB\nNS: NS\n", "line 1: duplicate part of speech"),
+    ("* M\nNS: NS\n", "line 1: rule needs NOUN, VERB or ADJ"),
+    ("* NOUN & M\nNP: NS+an|ean\n", "line 2: suffix for NP must be quoted"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(RuleSyntaxError) as raised:
+        parse_rules(text)
+    assert str(raised.value) == message
+
+
+def test_a_trailing_semicolon_ends_a_derivation_line():
+    (rule,) = parse_rules("* NOUN & M\nNS: NS; NP: NP;\n").rules
+    assert list(rule.derivations) == ["NS", "NP"]
+
+
 # every character that str.splitlines breaks at besides CR and LF
 @pytest.mark.parametrize(
     "end", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
@@ -293,6 +311,34 @@ def test_decline_requires_noun(ol, ruleset):
         decline(ol, ruleset)
 
 
+def test_conjugate_requires_verb(saoghal, ruleset):
+    with pytest.raises(ValueError, match="^conjugate needs a verb, got NOUN$"):
+        conjugate(saoghal, ruleset)
+
+
+def test_inflect_an_entry_without_the_part(ruleset):
+    entry = svf.Entry("cat", svf.NOUN, gender="M")
+    with pytest.raises(MissingPrincipalPartError) as raised:
+        inflect(entry, "NP", ruleset)
+    assert str(raised.value) == "cat: entry has no NP part"
+
+
+@pytest.mark.parametrize("line", ['NOUN M "cat" ? "cait"', '''VERB "'n" "'n"'''])
+def test_a_failure_is_the_exception_that_says_why(ruleset, line):
+    # kept without its traceback, so that no frame outlives the step
+    entry = parse_svf_line(line)
+    _, failures = rules._run(entry, ruleset.select(entry))
+    paradigm = (decline if entry.pos == svf.NOUN else conjugate)(entry, ruleset)
+    assert failures and list(failures) == list(paradigm.errors)
+    for code, error in failures.items():
+        assert isinstance(error, orthography.MorphologyError)
+        assert error.__traceback__ is None
+        with pytest.raises(type(error)) as raised:
+            inflect(entry, code, ruleset)
+        assert type(raised.value) is type(error)
+        assert str(raised.value) == paradigm.errors[code]
+
+
 # ---------------------------------------------------------------------------
 # irregular entries
 # ---------------------------------------------------------------------------
@@ -313,6 +359,33 @@ def test_irregular_noun_no_rule_covers_is_an_error(ruleset):
         decline(entry, ruleset)
     with pytest.raises(IrregularUnsupportedError, match=f"^{message}$"):
         inflect(entry, "NP", ruleset)
+
+
+def test_a_raised_failure_leaves_no_reference_cycle(ruleset):
+    # its traceback holds the frames it passed through; were the failure
+    # still held by one of them, it would wait for the cyclic collector
+    cat = parse_svf_line('NOUN M "cat" ? "cait"')
+    bean = parse_svf_line('NOUN F "bean" "mnathan" "mnà" IRREG')
+    gc.collect()
+    gc.disable()
+    try:
+        for call in (lambda: inflect(cat, "NP", ruleset), lambda: decline(bean, ruleset)):
+            try:
+                call()
+            except orthography.MorphologyError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_an_uncovered_irregular_entry_fails_every_code_alike(ruleset):
+    entry = parse_svf_line('VERB "rach" "dol" IRREG')
+    _, failures = rules._run(entry, ruleset.select(entry))
+    assert list(failures) == list(rules.VERB_FORMS)
+    assert {(type(error), str(error)) for error in failures.values()} == {
+        (IrregularUnsupportedError, "rach is irregular and no special-case rule covers it")
+    }
 
 
 def test_irregular_entry_with_lemma_rule():

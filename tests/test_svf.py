@@ -166,6 +166,11 @@ def test_serialize_requires_mandatory_parts():
         serialize_entry(Entry(lemma="cat", pos=NOUN, gender="M", np=part("cait")))
 
 
+def test_serialize_refuses_an_unknown_part_of_speech():
+    with pytest.raises(ValueError, match="^unknown part of speech: 'PRON'$"):
+        serialize_entry(Entry(lemma="mi", pos="PRON"))
+
+
 def test_each_part_of_speech_fields_are_one_run_of_entry_fields():
     # the readers and serialize_entry take them as one slice of an Entry
     for pos, fields in svf.FIELDS_BY_POS.items():
@@ -271,8 +276,8 @@ def test_loader_reports_positioned_errors(tmp_path):
     entries, errors = svf.load_vocabulary_file(path)
     assert [e.lemma for e in entries] == ["cat", "mòr"]
     assert len(errors) == 1
-    assert errors[0][0] == 4
-    assert isinstance(errors[0][1], ConstraintViolationError)
+    assert errors[0].line == 4
+    assert isinstance(errors[0], ConstraintViolationError)
 
 
 def test_loader_errors_hold_no_traceback(tmp_path):
@@ -281,7 +286,7 @@ def test_loader_errors_hold_no_traceback(tmp_path):
     path = tmp_path / "bad.svf"
     path.write_text('VERB M "òl" "òl"\nADJ "kx" "kx"\n', encoding="utf-8")
     _, errors = svf.load_vocabulary_file(path)
-    assert [(number, error.__traceback__) for number, error in errors] == [(1, None), (2, None)]
+    assert [(error.line, error.__traceback__) for error in errors] == [(1, None), (2, None)]
 
 
 def test_loader_empty_file(tmp_path):
