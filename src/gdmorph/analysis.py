@@ -54,9 +54,10 @@ def load_frequency_list(path) -> FrequencyList:
     lexeme,count rows (ranks assigned by position).  The delimiter is
     tab or comma, sniffed from the first data line.  The first line that
     is not blank or a comment is a header row, and skipped, when none of
-    its cells parses as an integer.  Other malformed rows, ranks out of
-    order and counts above the previous row's are returned as warnings,
-    InputErrors that carry the path and line, not raised.
+    its cells parses as an integer.  Other malformed rows and rows with
+    a negative count are left out.  Each of them, each rank out of order
+    and each count above the previous row's is returned as a warning, an
+    InputError that carries the path and line, not raised.
     Lexemes are kept as found, dirty or not.
     """
     rows: list[tuple[int, str, int]] = []
@@ -75,8 +76,11 @@ def load_frequency_list(path) -> FrequencyList:
             if index or any(map(_is_int, cells)):  # a header has no number
                 warnings.append(InputError(f"unparsable row {line!r}", path, number))
             continue
+        rank, _, count = parsed
+        if count < 0:
+            warnings.append(InputError(f"negative count {count}", path, number))
+            continue
         if rows:
-            rank, _, count = parsed
             last_rank, _, last_count = rows[-1]
             if rank <= last_rank:
                 message = f"rank {rank} out of order after rank {last_rank}"

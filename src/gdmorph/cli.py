@@ -102,16 +102,13 @@ def cmd_inflect(args) -> int:
     vocab = _load_vocab(args)
     ruleset = _load_rules(args)
     form = args.form.upper()
-    entries = _entries_for(vocab, args.lemma)
-    printed = False
+    found = _entries_for(vocab, args.lemma)
+    entries = [e for e in found if form in rules.FORMS_BY_POS.get(e.pos, ())]
+    if not entries:
+        raise MorphologyError(f"{form} is not a valid form for {args.lemma}")
     for entry in entries:
-        if form not in rules.FORMS_BY_POS.get(entry.pos, ()):
-            continue
         variants = rules.inflect(entry, form, ruleset)
         print(" ".join(variants) if variants else export.MISSING_CELL)
-        printed = True
-    if not printed:
-        raise MorphologyError(f"{form} is not a valid form for {args.lemma}")
     return 0
 
 
@@ -125,8 +122,8 @@ def _paradigms(args, pos: str, paradigm_of, layout: str) -> int:
     for entry in entries:
         paradigm = paradigm_of(entry, ruleset)
         print(export.render_paradigm(entry.lemma, paradigm.cells, layout, style=style), end="")
-        for code, message in sorted(paradigm.errors.items()):
-            print(f"{code}: {message}", file=sys.stderr)
+        for code, error in sorted(paradigm.errors.items()):
+            print(f"{code}: {error}", file=sys.stderr)
     return 0
 
 

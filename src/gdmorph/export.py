@@ -10,9 +10,6 @@ constraints) that SQLite and friends accept.
 
 from __future__ import annotations
 
-from . import rules
-from .svf import ADJ, NOUN, VERB
-
 ASCII = "ascii"
 DELIMITED = "delimited"
 
@@ -32,7 +29,7 @@ CHECK_CONSTRAINT = (
 
 
 class LayoutMismatchError(ValueError):
-    """Paradigm cells passed to a layout of a different part of speech."""
+    """Paradigm cells holding a form code that the layout does not show."""
 
 
 # per dialect: the ID, POS and GR columns, the only ones whose types differ
@@ -169,11 +166,11 @@ _VERB_ROWS = (
     ("imperative 3pl", "IMP3P", "IMP_PASS", None),
 )
 
-# layout -> (part of speech, column headers, rows of (label or None, *form codes))
+# layout -> (column headers, rows of (label or None, *form codes))
 _LAYOUTS = {
-    NOUN_TABLE: (NOUN, ["case", "singular", "plural"], _NOUN_ROWS),
-    VERB_TABLE: (VERB, ["form", "independent", "passive", "dependent"], _VERB_ROWS),
-    ADJ_ROW: (ADJ, ["positive", "comparative", "lenited"],
+    NOUN_TABLE: (["case", "singular", "plural"], _NOUN_ROWS),
+    VERB_TABLE: (["form", "independent", "passive", "dependent"], _VERB_ROWS),
+    ADJ_ROW: (["positive", "comparative", "lenited"],
               ((None, "POS_ADJ", "CP", "POS_LENITED"),)),
 }
 
@@ -196,16 +193,14 @@ def render_paradigm(
     style: str = ASCII,
 ) -> str:
     """Readable paradigm table; multi-variant cells join with a space,
-    missing cells show an em dash."""
+    missing cells show an em dash.  Raises LayoutMismatchError when the
+    cells hold a form code that no row of the layout shows."""
     if layout not in _LAYOUTS:
         raise ValueError(f"unknown layout: {layout!r}")
-    pos, columns, rows = _LAYOUTS[layout]
-    allowed = set(rules.FORMS_BY_POS[pos])
-    stray = set(cells) - allowed
+    columns, rows = _LAYOUTS[layout]
+    stray = set(cells).difference(*(codes for _, *codes in rows))
     if stray:
-        raise LayoutMismatchError(
-            f"form codes {sorted(stray)} do not belong to a {pos} table"
-        )
+        raise LayoutMismatchError(f"form codes {sorted(stray)} are not in the {layout} layout")
     body = [
         ([] if label is None else [label]) + [_cell(cells, code) for code in codes]
         for label, *codes in rows

@@ -110,8 +110,8 @@ def build_all_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> AllFormsIndex:
     form_index = index.form_index
     for entry in vocabulary:
         forms, failures = rules.derive_forms(entry, ruleset)
-        for code, message in failures.items():
-            index.failures.append((entry.lemma, code, message))
+        for code, error in failures.items():
+            index.failures.append((entry.lemma, code, str(error)))
         for surface, analyses in forms.items():
             known = form_index.get(surface)
             # a homograph, or the same record given twice

@@ -461,28 +461,28 @@ def _run(entry: Entry, selection: Selection) -> tuple[list, dict[str, Morphology
 
 
 class Paradigm(NamedTuple):
-    """Per-form results of declining or conjugating one entry."""
+    """Per-form results of declining or conjugating one entry: each
+    derivable code's variants, and each other code's MorphologyError."""
 
     cells: dict[str, list[str]]
-    errors: dict[str, str]
+    errors: dict[str, MorphologyError]
 
 
-def _paradigm(entry: Entry, ruleset: RuleSet) -> tuple[Paradigm, dict[str, MorphologyError]]:
-    """The variants of each form code that can be derived, and the
-    failure of each one that cannot.  An irregular entry that no rule
-    matches raises, since none of its codes can be derived."""
+def _paradigm(entry: Entry, ruleset: RuleSet) -> Paradigm:
+    """The entry's paradigm.  An irregular entry that no rule matches
+    raises, since none of its codes can be derived."""
     selection = ruleset.select(entry)
     values, failures = _run(entry, selection)
     if entry.irregular and not selection.matched:
         # every code failed alike, as no special-case rule covers the
         # entry; each failure is its own object, so none stays held here
         raise failures.popitem()[1]
-    paradigm = Paradigm(cells={}, errors={form: str(error) for form, error in failures.items()})
+    paradigm = Paradigm(cells={}, errors=failures)
     for form, ends in selection.forms.items():
         if form not in failures:
             variants = (values[end] for end in ends)
             paradigm.cells[form] = list(dict.fromkeys(v for v in variants if v is not None))
-    return paradigm, failures
+    return paradigm
 
 
 def inflect(entry: Entry, form: str, ruleset: RuleSet) -> list[str]:
@@ -493,12 +493,12 @@ def inflect(entry: Entry, form: str, ruleset: RuleSet) -> list[str]:
     """
     if form not in FORMS_BY_POS.get(entry.pos, ()):
         raise UnknownFormCodeError(f"{form} is not a {entry.pos} form")
-    paradigm, failures = _paradigm(entry, ruleset)
-    if form in failures:
+    paradigm = _paradigm(entry, ruleset)
+    if form in paradigm.errors:
         try:
-            raise failures[form]
+            raise paradigm.errors[form]
         finally:
-            del failures  # its traceback holds this frame: no cycle
+            del paradigm  # its traceback holds this frame: no cycle
     return paradigm.cells[form]
 
 
@@ -507,7 +507,7 @@ def decline(entry: Entry, ruleset: RuleSet) -> Paradigm:
     except an irregular noun that no rule covers, which raises."""
     if entry.pos != NOUN:
         raise ValueError(f"decline needs a noun, got {entry.pos}")
-    return _paradigm(entry, ruleset)[0]
+    return _paradigm(entry, ruleset)
 
 
 def conjugate(entry: Entry, ruleset: RuleSet) -> Paradigm:
@@ -515,7 +515,7 @@ def conjugate(entry: Entry, ruleset: RuleSet) -> Paradigm:
     irregular verb that no rule covers, which raises."""
     if entry.pos != VERB:
         raise ValueError(f"conjugate needs a verb, got {entry.pos}")
-    return _paradigm(entry, ruleset)[0]
+    return _paradigm(entry, ruleset)
 
 
 Analyses = tuple[tuple[Entry, str], ...]
@@ -523,10 +523,11 @@ Analyses = tuple[tuple[Entry, str], ...]
 
 def derive_forms(
     entry: Entry, ruleset: RuleSet
-) -> tuple[dict[str, Analyses], dict[str, str]]:
+) -> tuple[dict[str, Analyses], dict[str, MorphologyError]]:
     """Every producible surface form, mapped to its (entry, form code)
     analyses in paradigm order, as lexicon.AllFormsIndex stores them,
-    plus the per-code errors for forms that could not be derived.
+    plus the MorphologyError of each code that could not be derived,
+    as _run recorded it.
 
     Best effort: the lemma is always included, as LEMMA when no code
     gives it.  For nouns, the lenited allomorph of each form is added
@@ -535,8 +536,6 @@ def derive_forms(
     """
     selection = ruleset.select(entry)
     values, failures = _run(entry, selection)
-    # most entries fail no code, and their empty failures serve as errors
-    errors = failures and {code: str(error) for code, error in failures.items()}
     forms: dict[str, Analyses] = {}
     for code, ends in selection.forms.items():
         if code in failures:
@@ -558,4 +557,4 @@ def derive_forms(
         # a failed or non-existent value is no form, and has no allomorph
         if surface in forms and lenited != surface and lenited not in forms:
             forms[lenited] = forms[surface]
-    return forms, errors
+    return forms, failures

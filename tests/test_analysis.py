@@ -93,6 +93,23 @@ def test_load_keeps_first_row_after_byte_order_mark(tmp_path):
     assert fl.warnings == []
 
 
+def test_load_leaves_out_a_row_with_a_negative_count(tmp_path):
+    # a negative count would take tokens off the total; a zero count loads
+    path = _freq(tmp_path, "1\tcat\t5\n2\tcù\t-3\n3\tbàta\t-4\n4\tglè\t0\n", name="neg.tsv")
+    fl = load_frequency_list(path)
+    assert fl.rows == [(1, "cat", 5), (4, "glè", 0)]
+    assert fl.total_tokens == 5
+    assert list(map(str, fl.warnings)) == [
+        f"{path}: line 2: negative count -3",
+        f"{path}: line 3: negative count -4",
+    ]
+    # counts that summed to 0 with the negative one now have a positive total
+    path = _freq(tmp_path, "1\ta\t3\n2\tb\t-3\n")
+    fl = load_frequency_list(path)
+    assert list(map(str, fl.warnings)) == [f"{path}: line 2: negative count -3"]
+    assert cumulative_coverage_curve(fl, 1) == [(1, 1.0)]
+
+
 def test_load_empty_file_raises(tmp_path):
     with pytest.raises(FormatError):
         load_frequency_list(_freq(tmp_path, ""))
@@ -248,10 +265,9 @@ def test_cumulative_curve_range_errors(tmp_path):
 
 
 def test_cumulative_curve_needs_positive_token_total(tmp_path):
-    for counts in ("0\n2\tb\t0", "3\n2\tb\t-3"):
-        fl = load_frequency_list(_freq(tmp_path, f"1\ta\t{counts}\n"))
-        with pytest.raises(TokenTotalError, match="positive total"):
-            cumulative_coverage_curve(fl, 1)
+    fl = load_frequency_list(_freq(tmp_path, "1\ta\t0\n2\tb\t0\n"))
+    with pytest.raises(TokenTotalError, match="positive total"):
+        cumulative_coverage_curve(fl, 1)
 
 
 @pytest.fixture(scope="module")

@@ -167,7 +167,7 @@ def test_compiled_table_agrees_with_first_match_scan(text, entry_list):
             else:
                 expected_cells[form] = expected
         forms, failures = derive_forms(entry, ruleset)
-        assert failures == expected_errors
+        assert {code: str(error) for code, error in failures.items()} == expected_errors
         _assert_paradigm_agrees(entry, ruleset, expected_cells, expected_errors)
 
 
@@ -186,7 +186,8 @@ def _assert_paradigm_agrees(entry, ruleset, expected_cells, expected_errors):
         expected = list(expected_cells.items()), list(expected_errors.items())
     outcome = _outcome(paradigm_of, entry, ruleset)
     if isinstance(outcome, rules.Paradigm):
-        outcome = list(outcome.cells.items()), list(outcome.errors.items())
+        errors = [(code, str(error)) for code, error in outcome.errors.items()]
+        outcome = list(outcome.cells.items()), errors
     assert outcome == expected
 
 
@@ -226,7 +227,8 @@ def test_derive_forms_agrees_with_per_form_reference(text, entry_list):
         for analyses in forms.values():
             assert all(named is entry for named, _ in analyses)
         codes = {surface: [code for _, code in analyses] for surface, analyses in forms.items()}
-        assert (codes, errors) == reference_derive_forms(entry, ruleset)
+        messages = {code: str(error) for code, error in errors.items()}
+        assert (codes, messages) == reference_derive_forms(entry, ruleset)
 
 
 def test_allomorph_shares_its_base_forms_analyses():

@@ -299,6 +299,19 @@ def test_render_layout_mismatch():
         render_paradigm("x", {"VN": ["òl"]}, export.NOUN_TABLE)
 
 
+@pytest.mark.parametrize(
+    "layout, pos, stray",
+    [(export.NOUN_TABLE, NOUN, "VN"), (export.VERB_TABLE, VERB, "NS"), (export.ADJ_ROW, ADJ, "NS")],
+)
+def test_a_layout_accepts_exactly_the_codes_of_its_part_of_speech(layout, pos, stray):
+    # render_paradigm accepts the codes that a layout's rows show
+    _, rows = export._LAYOUTS[layout]
+    shown = {code for _, *codes in rows for code in codes if code is not None}
+    assert shown == set(rules.FORMS_BY_POS[pos])
+    with pytest.raises(LayoutMismatchError, match=rf"\['{stray}'\] are not in the {layout} layout"):
+        render_paradigm("x", {stray: ["òl"]}, layout)
+
+
 def test_render_delimited_style():
     entry = parse_svf_line('NOUN M "saoghal" "saoghalan" "saoghail"')
     cells = rules.decline(entry, rules.default_rules()).cells

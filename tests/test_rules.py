@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdmorph import orthography, rules, svf
+from gdmorph.lexicon import Vocabulary, build_all_forms
 from gdmorph.rules import (
     IrregularUnsupportedError,
     MissingPrincipalPartError,
@@ -173,6 +174,13 @@ def test_parse_error_messages(text, message):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("expression", ["", "NS|", "|NS"])
+def test_an_empty_alternative_is_an_error(expression):
+    with pytest.raises(RuleSyntaxError) as raised:
+        parse_rules(f"* NOUN & M\nNS: {expression}\n")
+    assert str(raised.value) == "line 2: empty expression for NS"
+
+
 def test_a_trailing_semicolon_ends_a_derivation_line():
     (rule,) = parse_rules("* NOUN & M\nNS: NS; NP: NP;\n").rules
     assert list(rule.derivations) == ["NS", "NP"]
@@ -329,14 +337,21 @@ def test_a_failure_is_the_exception_that_says_why(ruleset, line):
     entry = parse_svf_line(line)
     _, failures = rules._run(entry, ruleset.select(entry))
     paradigm = (decline if entry.pos == svf.NOUN else conjugate)(entry, ruleset)
-    assert failures and list(failures) == list(paradigm.errors)
+    _, derived = derive_forms(entry, ruleset)
+    assert failures and list(failures) == list(paradigm.errors) == list(derived)
     for code, error in failures.items():
         assert isinstance(error, orthography.MorphologyError)
         assert error.__traceback__ is None
+        for kept in (paradigm.errors[code], derived[code]):
+            assert kept.__traceback__ is None
+            assert type(kept) is type(error) and str(kept) == str(error)
         with pytest.raises(type(error)) as raised:
             inflect(entry, code, ruleset)
         assert type(raised.value) is type(error)
-        assert str(raised.value) == paradigm.errors[code]
+        assert str(raised.value) == str(paradigm.errors[code])
+    # the index is the one place where a failure is kept as its text
+    index = build_all_forms(Vocabulary([entry]), ruleset)
+    assert index.failures == [(entry.lemma, code, str(error)) for code, error in failures.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,10 @@ def test_parse_markers():
     assert entry.gs == part("airgid")
 
 
+def test_a_present_part_prints_as_its_text():
+    assert str(part("cat")) == "cat"
+
+
 def test_parse_markers_quoted_variant():
     # tolerated on input, canonicalized to bare markers on output
     entry = parse_svf_line('NOUN F "sgoil" "?" "-"')
