@@ -20,7 +20,10 @@ from .svf import PART_FIELDS, Entry
 
 
 class FormatError(InputError):
-    """Frequency list file with no parsable rows."""
+    """Frequency list file with no parsable rows; its warnings, each an
+    InputError naming its line as a FrequencyList's, say why."""
+
+    warnings: Sequence[InputError] = ()
 
 
 class RangeError(InputError):
@@ -57,7 +60,8 @@ def load_frequency_list(path) -> FrequencyList:
     its cells parses as an integer.  Other malformed rows and rows with
     a negative count are left out.  Each of them, each rank out of order
     and each count above the previous row's is returned as a warning, an
-    InputError that carries the path and line, not raised.
+    InputError that carries the path and line, not raised.  A list left
+    with no row raises FormatError, which carries those warnings.
     Lexemes are kept as found, dirty or not.
     """
     rows: list[tuple[int, str, int]] = []
@@ -90,7 +94,9 @@ def load_frequency_list(path) -> FrequencyList:
                 warnings.append(InputError(message, path, number))
         rows.append(parsed)
     if not rows:
-        raise FormatError("no parsable rows", path)
+        refusal = FormatError("no parsable rows", path)
+        refusal.warnings = warnings
+        raise refusal
     return FrequencyList(rows=rows, warnings=warnings)
 
 
@@ -172,10 +178,16 @@ def cumulative_coverage_curve(
     return [(rank, running / total) for rank, running in enumerate(accumulate(counts), 1)]
 
 
-def _selected_part(entry: Entry, part_field: str):
+def _grown_parts(entries, part_field: str):
+    """(text, growth) for each entry whose part_field part holds a word,
+    growth being the word's length less the lemma's.  An unknown
+    part_field raises ValueError at the first step, entries or none."""
     if part_field not in PART_FIELDS:
         raise ValueError(f"unknown principal part selector: {part_field!r}")
-    return getattr(entry, part_field)
+    for entry in entries:
+        value = getattr(entry, part_field)
+        if value is not None and value.is_present:
+            yield value.text, len(value.text) - len(entry.lemma)
 
 
 class EndingHistogram(NamedTuple):
@@ -197,11 +209,9 @@ def ending_histogram(
     if suffix_len < 1:
         raise ValueError("suffix_len must be at least 1")
     counts = Counter(
-        value.text[-suffix_len:]
-        for entry in entries
-        if (value := _selected_part(entry, part_field)) is not None
-        and value.is_present
-        and len(value.text) - len(entry.lemma) >= min_growth
+        text[-suffix_len:]
+        for text, growth in _grown_parts(entries, part_field)
+        if growth >= min_growth
     )
     return EndingHistogram(dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))))
 
@@ -216,19 +226,11 @@ def count_suffix_pattern(
     """Count entries whose selected part ends with the pattern and has
     grown from the lemma by at least (or, with exact, by precisely)
     min_extra characters."""
-    total = 0
-    for entry in entries:
-        value = _selected_part(entry, part_field)
-        if value is None or not value.is_present:
-            continue
-        growth = len(value.text) - len(entry.lemma)
-        if exact and growth != min_extra:
-            continue
-        if not exact and growth < min_extra:
-            continue
-        if value.text.endswith(pattern):
-            total += 1
-    return total
+    return sum(
+        text.endswith(pattern)
+        for text, growth in _grown_parts(entries, part_field)
+        if (growth == min_extra if exact else growth >= min_extra)
+    )
 
 
 def find_near_duplicates(
@@ -240,27 +242,22 @@ def find_near_duplicates(
     Case pairs: equal after case folding but not before.  Accent pairs:
     equal after accent stripping but not before, and not already a case
     pair (a pair differing in both case and accents is neither).  Each
-    unordered pair is reported once, in input order.
+    unordered pair is reported once: groups in the order of their first
+    entry, and pairs within a group in input order.
     """
-    ordered = list(entries)
-    by_casefold: dict[str, list[int]] = {}
-    by_stripped: dict[str, list[int]] = {}
-    for position, entry in enumerate(ordered):
-        by_casefold.setdefault(entry.lemma.casefold(), []).append(position)
-        stripped = orthography.strip_accents(entry.lemma)
-        by_stripped.setdefault(stripped, []).append(position)
-
-    case_pairs = []
-    accent_pairs = []
-    for group in by_casefold.values():
-        for i, j in combinations(group, 2):
-            if ordered[i].lemma != ordered[j].lemma:
-                case_pairs.append((ordered[i], ordered[j]))
-    for group in by_stripped.values():
-        for i, j in combinations(group, 2):
-            a, b = ordered[i].lemma, ordered[j].lemma
-            if a != b and a.casefold() != b.casefold():
-                accent_pairs.append((ordered[i], ordered[j]))
+    by_casefold: dict[str, list[Entry]] = {}
+    by_stripped: dict[str, list[Entry]] = {}
+    for entry in entries:
+        by_casefold.setdefault(entry.lemma.casefold(), []).append(entry)
+        by_stripped.setdefault(orthography.strip_accents(entry.lemma), []).append(entry)
+    case_pairs = [
+        (a, b) for group in by_casefold.values() for a, b in combinations(group, 2)
+        if a.lemma != b.lemma
+    ]
+    accent_pairs = [
+        (a, b) for group in by_stripped.values() for a, b in combinations(group, 2)
+        if a.lemma != b.lemma and a.lemma.casefold() != b.lemma.casefold()
+    ]
     return case_pairs, accent_pairs
 
 

@@ -152,9 +152,15 @@ def cmd_recognize(args) -> int:
 
 
 def _load_freq(path: str | None) -> analysis.FrequencyList:
+    """The frequency list, its warnings (a refused list's too) on stderr."""
     if path is None:
         raise InputError("stats {hapax,zipf} needs --freq")
-    freq = analysis.load_frequency_list(path)
+    try:
+        freq = analysis.load_frequency_list(path)
+    except analysis.FormatError as refusal:
+        for warning in refusal.warnings:
+            print(warning, file=sys.stderr)
+        raise
     for warning in freq.warnings:
         print(warning, file=sys.stderr)
     return freq
@@ -196,9 +202,7 @@ def cmd_stats(args) -> int:
         return 0
     if args.which == "vn-endings":
         vocab = _load_vocab(args)
-        histogram = analysis.ending_histogram(
-            vocab.entries, "vn", suffix_len=3, min_growth=3
-        )
+        histogram = analysis.ending_histogram(vocab.entries, "vn")
         if args.format == "tsv":
             for ending, count in histogram.buckets.items():
                 print(f"{ending}\t{count}")

@@ -276,10 +276,10 @@ def load_vocabulary_file(path) -> tuple[list[Entry], list[SvfError]]:
     Entry are made from the groups by tuple.__new__, as namedtuple's
     own _make makes them.  Such a line holds no character that NFC
     composition or apostrophe folding would change, so it needs
-    neither.  Any other line is stripped; unless blank or a comment, it
-    gets the same match once more (a record padded with whitespace) and
-    otherwise goes to parse_svf_line, which accepts the same records
-    and raises every error.
+    neither.  Any other line, a record padded with spaces or tabs among
+    them, is stripped; unless blank or a comment, it goes to
+    parse_svf_line, which accepts the same records and raises every
+    error.
     """
     lines = orthography.read_text(path).split("\n")
     entries = []
@@ -292,16 +292,14 @@ def load_vocabulary_file(path) -> tuple[list[Entry], list[SvfError]]:
             line = line.strip()
             if not line or line[0] == "#":
                 continue
-            match = record(line)
-            if match is None:
-                try:
-                    entries.append(parse_svf_line(line))
-                except SvfError as exc:
-                    exc.path, exc.line = path, number
-                    # without its traceback, which holds this frame and so
-                    # makes a reference cycle through `errors`
-                    errors.append(exc.with_traceback(None))
-                continue
+            try:
+                entries.append(parse_svf_line(line))
+            except SvfError as exc:
+                exc.path, exc.line = path, number
+                # without its traceback, which holds this frame and so
+                # makes a reference cycle through `errors`
+                errors.append(exc.with_traceback(None))
+            continue
         gender, pos, lemma, word, marker, second_word, second_marker, irregular = match.groups()
         value = markers[marker] if word is None else new(PartValue, (PRESENT, word))
         irregular = irregular is not None

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from gdmorph.analysis import (
     hapax_report,
     load_frequency_list,
 )
-from gdmorph.orthography import FOLD_ACCENTS
+from gdmorph.orthography import FOLD_ACCENTS, strip_accents
 from gdmorph.svf import parse_svf_line
 
 DATA = Path(__file__).parent / "data"
@@ -113,6 +114,18 @@ def test_load_leaves_out_a_row_with_a_negative_count(tmp_path):
 def test_load_empty_file_raises(tmp_path):
     with pytest.raises(FormatError):
         load_frequency_list(_freq(tmp_path, ""))
+
+
+@pytest.mark.parametrize("text, messages", [
+    ("1\tcat\t-5\n", ["line 1: negative count -5"]),
+    ("1\tcat\n2\tdog\n", ["line 1: unparsable row '1\\tcat'", "line 2: unparsable row '2\\tdog'"]),
+], ids=["negative", "unparsable"])
+def test_a_refused_list_keeps_the_warnings_that_say_why(tmp_path, text, messages):
+    path = _freq(tmp_path, text)
+    with pytest.raises(FormatError) as refusal:
+        load_frequency_list(path)
+    assert refusal.value.message == "no parsable rows"
+    assert list(map(str, refusal.value.warnings)) == [f"{path}: {m}" for m in messages]
 
 
 def test_load_warns_on_a_broken_first_row(tmp_path):
@@ -385,6 +398,96 @@ def test_near_duplicates_permutation_invariant():
     case_b, accent_b = find_near_duplicates(list(reversed(entries)))
     assert key(case_a) == key(case_b)
     assert key(accent_a) == key(accent_b)
+
+
+def test_near_duplicates_come_by_group_then_in_input_order():
+    lemmas = ["Dia", "Cat", "dia", "cat", "DIA", "mòr", "mór", "mor"]
+    case_pairs, accent_pairs = find_near_duplicates(
+        [parse_svf_line(f'ADJ "{lemma}" ?') for lemma in lemmas]
+    )
+    # the Dia group, opened first, gives all its pairs before Cat/cat
+    assert [(a.lemma, b.lemma) for a, b in case_pairs] == [
+        ("Dia", "dia"), ("Dia", "DIA"), ("dia", "DIA"), ("Cat", "cat"),
+    ]
+    assert [(a.lemma, b.lemma) for a, b in accent_pairs] == [
+        ("mòr", "mór"), ("mòr", "mor"), ("mór", "mor"),
+    ]
+
+
+def _grouped_pairs(entries, key, differ):
+    """Positions of each pair of entries equal under key that differ,
+    the groups in order of first appearance, pairs in input order."""
+    first: dict[str, int] = {}
+    for entry in entries:
+        first.setdefault(key(entry.lemma), len(first))
+    pairs = [
+        (i, j)
+        for (i, a), (j, b) in combinations(enumerate(entries), 2)
+        if key(a.lemma) == key(b.lemma) and differ(a.lemma, b.lemma)
+    ]
+    return sorted(pairs, key=lambda pair: first[key(entries[pair[0]].lemma)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.sampled_from(["Dia", "dia", "DIA", "dìa", "Dìa", "cat", "Cat", "càt", "mòr", "mór", "mor", "Mòr"]),
+    max_size=12,
+))
+def test_near_duplicates_equal_a_grouped_reference(lemmas):
+    entries = [parse_svf_line(f'ADJ "{lemma}" ?') for lemma in lemmas]
+    position = {id(entry): i for i, entry in enumerate(entries)}
+    case_pairs, accent_pairs = find_near_duplicates(entries)
+    assert [(position[id(a)], position[id(b)]) for a, b in case_pairs] == _grouped_pairs(
+        entries, str.casefold, str.__ne__
+    )
+    assert [(position[id(a)], position[id(b)]) for a, b in accent_pairs] == _grouped_pairs(
+        entries, strip_accents, lambda a, b: a.casefold() != b.casefold()
+    )
+
+
+_STAT_WORDS = st.text(alphabet="aens", min_size=1, max_size=7)
+_STAT_PARTS = st.one_of(_STAT_WORDS.map('"{}"'.format), st.sampled_from(["?", "-"]))
+_STAT_LINES = st.one_of(
+    st.builds('NOUN {} "{}" {} {}'.format, st.sampled_from(svf.GENDERS), _STAT_WORDS, _STAT_PARTS, _STAT_PARTS),
+    st.builds('VERB "{}" {}'.format, _STAT_WORDS, _STAT_PARTS),
+    st.builds('ADJ "{}" {}'.format, _STAT_WORDS, _STAT_PARTS),
+)
+
+
+def _brute_growths(entries, field):
+    """(text, growth) of each present part, by a loop over every entry."""
+    found = []
+    for entry in entries:
+        value = getattr(entry, field)
+        if value is not None and value.state == svf.PRESENT:
+            found.append((value.text, len(value.text) - len(entry.lemma)))
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_STAT_LINES, max_size=12),
+    field=st.sampled_from(svf.PART_FIELDS),
+    pattern=st.sampled_from(["a", "an", "ean", "s", "n"]),
+    extra=st.integers(-2, 4),
+    exact=st.booleans(),
+    suffix_len=st.integers(1, 4),
+)
+def test_suffix_statistics_equal_a_brute_force_count(lines, field, pattern, extra, exact, suffix_len):
+    entries = [parse_svf_line(line) for line in lines]
+    growths = _brute_growths(entries, field)
+    grown = [
+        text for text, growth in growths
+        if (growth == extra if exact else growth >= extra)
+    ]
+    expected = sum(1 for text in grown if text.endswith(pattern))
+    assert count_suffix_pattern(entries, field, pattern, extra, exact) == expected
+    buckets: dict[str, int] = {}
+    for text, growth in growths:
+        if growth >= extra:
+            buckets[text[-suffix_len:]] = buckets.get(text[-suffix_len:], 0) + 1
+    histogram = ending_histogram(entries, field, suffix_len, extra)
+    assert list(histogram.buckets.items()) == sorted(buckets.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def test_hapax_report(tmp_path):

@@ -297,7 +297,20 @@ def test_frequency_list_without_a_parsable_row_exits_2(capsys, tmp_path):
     path.write_text("a b\nc d\n", encoding="utf-8")
     code, out, err = run(capsys, "stats", "hapax", "--freq", str(path))
     assert (code, out) == (2, "")
-    assert err == f"{path}: no parsable rows\n"
+    assert err == f"{path}: line 2: unparsable row 'c d'\n{path}: no parsable rows\n"
+
+
+@pytest.mark.parametrize("command", [["stats", "hapax", "--freq"], ["stats", "zipf", "--freq"], ["coverage"]])
+@pytest.mark.parametrize("text, messages", [
+    ("1\tcat\t-5\n", ["line 1: negative count -5"]),
+    ("1\tcat\n2\tdog\n", ["line 1: unparsable row '1\\tcat'", "line 2: unparsable row '2\\tdog'"]),
+], ids=["negative", "unparsable"])
+def test_a_refused_frequency_list_prints_why_before_the_refusal(capsys, tmp_path, command, text, messages):
+    path = tmp_path / "words.tsv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "--vocab", VOCAB, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err == "".join(f"{path}: {m}\n" for m in [*messages, "no parsable rows"])
 
 
 def test_broken_first_row_of_a_frequency_list_is_warned_about(capsys, tmp_path):
