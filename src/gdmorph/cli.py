@@ -213,19 +213,18 @@ def cmd_stats(args) -> int:
     if args.which == "dedup":
         vocab = _load_vocab(args)
         case_pairs, accent_pairs = analysis.find_near_duplicates(vocab.entries)
-        print(f"case pairs\t{len(case_pairs)}")
-        for a, b in case_pairs:
-            print(f"case\t{a.lemma}\t{b.lemma}")
-        print(f"accent pairs\t{len(accent_pairs)}")
-        for a, b in accent_pairs:
-            print(f"accent\t{a.lemma}\t{b.lemma}")
+        # one write for all lines, not two system calls a line unbuffered
+        sys.stdout.write(
+            f"case pairs\t{len(case_pairs)}\n"
+            + "".join(f"case\t{a.lemma}\t{b.lemma}\n" for a, b in case_pairs)
+            + f"accent pairs\t{len(accent_pairs)}\n"
+            + "".join(f"accent\t{a.lemma}\t{b.lemma}\n" for a, b in accent_pairs)
+        )
         return 0
     if args.which == "hapax":
         freq = _load_freq(args.freq)
         count, lexemes = analysis.hapax_report(freq)
-        print(f"hapax\t{count}")
-        for lexeme in lexemes:
-            print(lexeme)
+        sys.stdout.write(f"hapax\t{count}\n" + "".join(lexeme + "\n" for lexeme in lexemes))
         return 0
     # zipf
     freq = _load_freq(args.freq)

@@ -97,6 +97,7 @@ class AllFormsIndex:
         return set(self.form_index)
 
 
+@orthography._collector_paused
 def build_all_forms(vocabulary: Vocabulary, ruleset: RuleSet) -> AllFormsIndex:
     """Expand every entry to its surface forms and index them.
 

@@ -7,13 +7,16 @@ Vowels divide into broad (a, o, u) and slender (e, i) classes, and the
 spelling rule "broad to broad, slender to slender" requires the vowels on
 either side of a consonant group to share a class.
 
-All functions here but read_text are pure and operate on canonically
-composed (NFC) strings, so byte equality equals textual equality.
+All functions here but read_text and _collector_paused are pure and
+operate on canonically composed (NFC) strings, so byte equality equals
+textual equality.
 """
 
 from __future__ import annotations
 
 import codecs
+import functools
+import gc
 import re
 import unicodedata
 from typing import NamedTuple
@@ -107,6 +110,32 @@ def read_text(path) -> str:
         line = len(data[: exc.start + 1].splitlines())
         raise InputError(f"not UTF-8 ({exc.reason})", path, line) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _collector_paused(function):
+    """function, run with the cyclic garbage collector paused.
+
+    CPython never untracks a tuple subclass such as Entry or PartValue,
+    nor a tuple that holds one, so a vocabulary load or an index build
+    makes about 100k tracked objects, which each collection that fires
+    while they are made walks again.  What the two make holds no
+    reference cycle, so the pause frees nothing later than the
+    collector would.
+    The collector is turned back on, on return or raise, only if this
+    call turned it off, so a caller that paused it keeps it paused.
+    """
+
+    @functools.wraps(function)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return function(*args, **kwargs)
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class NoVowelError(MorphologyError):

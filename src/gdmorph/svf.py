@@ -263,6 +263,7 @@ _RECORD = re.compile(
 )
 
 
+@orthography._collector_paused
 def load_vocabulary_file(path) -> tuple[list[Entry], list[SvfError]]:
     """Parse a vocabulary file line by line.
 

@@ -330,9 +330,10 @@ def test_ending_histogram_two_verbs():
     lambda entries: count_suffix_pattern(entries, "pl", "an"),
 ], ids=["ending_histogram", "count_suffix_pattern"])
 def test_an_unknown_part_selector_is_refused(count):
-    # the selector is checked per entry, so one entry is needed
-    with pytest.raises(ValueError, match="^unknown principal part selector: 'pl'$"):
-        count([parse_svf_line('ADJ "mòr" "motha"')])
+    # the selector is checked before the first entry, so no entries too
+    for entries in ([parse_svf_line('ADJ "mòr" "motha"')], []):
+        with pytest.raises(ValueError, match="^unknown principal part selector: 'pl'$"):
+            count(entries)
 
 
 def test_ending_histogram_needs_a_suffix():

@@ -743,7 +743,9 @@ def test_recognize_lists_analyses_in_forms_by_pos_order(capsys):
     assert codes == [form for form in rules.FORMS_BY_POS["VERB"] if form in codes]
 
 
-@pytest.mark.parametrize("command", [["expand"], ["decline", "cat"]])
+@pytest.mark.parametrize("command", [
+    ["expand"], ["decline", "cat"], ["stats", "dedup"], ["stats", "hapax", "--freq", FREQ],
+])
 def test_stdout_closed_by_its_reader_exits_2_without_a_traceback(command):
     """gdmorph expand | head: the reader may close the pipe before the
     output is written; that is an I/O error, reported by exit 2 alone."""

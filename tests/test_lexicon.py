@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -149,6 +150,78 @@ def test_build_all_forms_reports_failures(ruleset):
     assert ("rach", "PAST_IND") in failed_codes
     # lemmas still recognizable even when cells failed
     assert "sgoil" in index.form_index and "rach" in index.form_index
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector turned on or off for the test, then restored."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_a_load_pauses_the_collector_and_leaves_it_as_found(collector, tmp_path, monkeypatch):
+    read_text, seen = orthography.read_text, []
+
+    def recording(path):
+        seen.append(gc.isenabled())
+        return read_text(path)
+
+    monkeypatch.setattr(orthography, "read_text", recording)
+    svf.load_vocabulary_file(DATA / "coverage20.svf")
+    assert seen == [False] and gc.isenabled() is collector
+    with pytest.raises(orthography.InputError, match="cannot read"):
+        svf.load_vocabulary_file(tmp_path / "missing.svf")
+    assert gc.isenabled() is collector
+
+
+def test_a_build_pauses_the_collector_and_leaves_it_as_found(collector, entries, ruleset, monkeypatch):
+    derive_forms, seen = rules.derive_forms, []
+
+    def recording(entry, ruleset):
+        seen.append(gc.isenabled())
+        return derive_forms(entry, ruleset)
+
+    monkeypatch.setattr(rules, "derive_forms", recording)
+    build_all_forms(Vocabulary(entries), ruleset)
+    assert seen == [False] * len(entries) and gc.isenabled() is collector
+
+    def failing(entry, ruleset):
+        raise RuntimeError("derive_forms failed")
+
+    monkeypatch.setattr(rules, "derive_forms", failing)
+    with pytest.raises(RuntimeError, match="derive_forms failed"):
+        build_all_forms(Vocabulary(entries), ruleset)
+    assert gc.isenabled() is collector
+
+
+def test_a_load_and_build_leave_no_reference_cycle(ruleset, tmp_path):
+    # what the paused calls make must die by reference count, or the
+    # pause would hold it until a later collection
+    path = tmp_path / "vocab.svf"
+    path.write_text(
+        'NOUN M "cat" ? "cait"\n'
+        'NOUN F "bean" "mnathan" "mnà" IRREG\n'
+        "VERB \"'n\" \"'n\"\n"
+        'NOUN M "cù" "coin" "coin" extra\n',
+        encoding="utf-8",
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        vocab, errors = Vocabulary.from_svf_file(path)
+        index = build_all_forms(vocab, ruleset)
+        assert [error.line for error in errors] == [4]
+        assert {message for _, _, message in index.failures} == {
+            "cat: NP is unknown",
+            "bean is irregular and no special-case rule covers it",
+            "no vowel in \"'n\"",
+        }
+        del vocab, errors, index
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_build_all_forms_deterministic(entries, ruleset):
